@@ -9,7 +9,7 @@ an early-decay teacher schedule, and a deterministic training harness.
 from .data import Dataset, load_cifar_binary, make_synthetic
 from .losses import DistillConfig, LossBreakdown, cd_loss, ce_loss, channel_weights, \
     gkd_loss, kd_loss, total_loss
-from .models import ChannelAdapter, NetworkSpec, StageSpec, TapPoint, build_network, \
+from .models import ChannelAdapter, NetworkSpec, StageSpec, build_network, \
     forward_with_taps, freeze
 from .optim import EdtParams, LrSchedule, SgdConfig, SgdOptimizer, edt_weight, \
     lr_at_epoch
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tensor", "backward", "conv2d", "global_avg_pool", "softened_softmax",
-    "NetworkSpec", "StageSpec", "TapPoint", "ChannelAdapter", "build_network",
+    "NetworkSpec", "StageSpec", "ChannelAdapter", "build_network",
     "forward_with_taps", "freeze",
     "DistillConfig", "LossBreakdown", "channel_weights", "cd_loss", "kd_loss",
     "gkd_loss", "ce_loss", "total_loss",

@@ -16,6 +16,7 @@ Tensors round-trip in file order, so save -> load -> save is byte-identical.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -63,6 +64,8 @@ def save_checkpoint(path, header_text: str, tensors: Dict[str, np.ndarray]) -> N
 
 
 def load_checkpoint(path) -> Tuple[str, Dict[str, np.ndarray]]:
+    """(header text, tensors by name); a malformed file raises CheckpointError
+    naming the file and the byte where it goes wrong."""
     blob = Path(path).read_bytes()
     if len(blob) < 14:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
@@ -75,26 +78,34 @@ def load_checkpoint(path) -> Tuple[str, Dict[str, np.ndarray]]:
     if version != VERSION:
         raise BadVersionError(f"{path}: unsupported format version {version}")
     off = 6
-    (header_len,) = struct.unpack_from("<I", body, off)
-    off += 4
-    header = body[off:off + header_len].decode("utf-8")
-    off += header_len
-    (count,) = struct.unpack_from("<I", body, off)
-    off += 4
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(body):
+            raise CheckpointError(f"{path}: truncated at byte {off}: needs {n} more "
+                                  f"bytes, has {len(body) - off}")
+        off += n
+        return body[off - n:off]
+
+    def text(n: int) -> str:
+        raw = take(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: bad UTF-8 at byte {off - n}: {exc}") from None
+
+    (header_len,) = struct.unpack("<I", take(4))
+    header = text(header_len)
+    (count,) = struct.unpack("<I", take(4))
     tensors: Dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", body, off)
-        off += 2
-        name = body[off:off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<B", body, off)
-        off += 1
-        shape = struct.unpack_from(f"<{rank}I", body, off)
-        off += 4 * rank
-        size = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(body, dtype="<f4", count=size, offset=off).reshape(shape)
+        (name_len,) = struct.unpack("<H", take(2))
+        name = text(name_len)
+        (rank,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        size = math.prod(shape)
+        arr = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape)
         tensors[name] = arr.astype(np.float32)
-        off += 4 * size
     if off != len(body):
         raise CheckpointError(f"{path}: {len(body) - off} trailing bytes after tensor table")
     return header, tensors

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config, load_datasets, sections_to_text
+from .config import ConfigError, load_config, load_datasets, snapshot_text
 from .data import AugmentConfig, channel_stats
 from .plotting import write_metrics_svg
 from .train import distill, evaluate, load_model_checkpoint, train_teacher
@@ -69,7 +69,7 @@ def _prepare(args, need_model: str):
                         hflip_prob=cfg.data.hflip_prob)
     out_dir = Path(cfg.run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(sections_to_text(cfg._sections))
+    (out_dir / "config.txt").write_text(snapshot_text(cfg._sections))
     spec = model.to_spec(cfg.data.num_classes, train_ds.images.shape[1])
     return cfg, spec, train_ds, val_ds, aug, out_dir
 

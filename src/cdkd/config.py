@@ -1,5 +1,6 @@
-"""Run configuration: a line-oriented ``key = value`` format with [section]
-headers, strict schema validation, and two bundled hyperparameter presets.
+"""Run configuration: the schema of the ``[section]`` / ``key = value``
+grammar (see kvtext), strict validation, and two bundled hyperparameter
+presets.
 
 Unknown sections or keys are rejected with file/line diagnostics, every
 value is type-checked on parse, and the parsed snapshot re-serializes
@@ -13,6 +14,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from .data import Dataset, load_cifar_binary, make_synthetic
+from .kvtext import emit_sections, parse_sections
 from .losses import DistillConfig
 from .models import NetworkSpec, StageSpec
 from .optim import EdtParams, LrSchedule, SgdConfig
@@ -22,7 +24,7 @@ class ConfigError(ValueError):
     pass
 
 
-# section -> key -> type tag
+# section -> key -> type tag, in canonical snapshot order
 _SCHEMA = {
     "model.teacher": {"channels": "ints", "blocks": "ints", "downsample": "bools",
                       "residual": "bool"},
@@ -40,56 +42,32 @@ _SCHEMA = {
     "run": {"epochs": "int", "seed": "int", "out_dir": "str"},
 }
 
-_SECTION_ORDER = ("model.teacher", "model.student", "data", "optim", "schedule",
-                  "distill", "run")
+def _bool(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return value == "true"
 
 
-def _convert(tag: str, value: str, where: str):
-    try:
-        if tag == "int":
-            return int(value)
-        if tag == "float":
-            return float(value)
-        if tag == "bool":
-            if value in ("true", "false"):
-                return value == "true"
-            raise ValueError
-        if tag == "str":
-            return value
-        if tag == "ints":
-            return tuple(int(v.strip()) for v in value.split(",") if v.strip())
-        if tag == "bools":
-            return tuple(v.strip() == "1" for v in value.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse {value!r} as {tag}") from None
-    raise AssertionError(tag)
+def _bools(value: str) -> Tuple[bool, ...]:
+    items = [v.strip() for v in value.split(",") if v.strip()]
+    if any(v not in ("0", "1") for v in items):
+        raise ValueError("every item must be 0 or 1")
+    return tuple(v == "1" for v in items)
+
+
+def _ints(value: str) -> Tuple[int, ...]:
+    return tuple(int(v) for v in value.split(",") if v.strip())
+
+
+_PARSE = {"int": int, "float": float, "bool": _bool, "str": str, "ints": _ints,
+          "bools": _bools}
+_TYPED = {sec: {key: _PARSE[tag] for key, tag in keys.items()}
+          for sec, keys in _SCHEMA.items()}
 
 
 def parse_kv_text(text: str, origin: str = "<config>") -> Dict[str, dict]:
     """Parse and type-check; returns {section: {key: typed value}}."""
-    sections: Dict[str, dict] = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current not in _SCHEMA:
-                raise ConfigError(f"{origin}:{lineno}: unknown section [{current}]")
-            sections.setdefault(current, {})
-            continue
-        if current is None:
-            raise ConfigError(f"{origin}:{lineno}: key outside any [section]")
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ConfigError(f"{origin}:{lineno}: expected 'key = value'")
-        key, value = key.strip(), value.strip()
-        if key not in _SCHEMA[current]:
-            raise ConfigError(f"{origin}:{lineno}: unknown key '{key}' in [{current}]")
-        sections[current][key] = _convert(
-            _SCHEMA[current][key], value, f"{origin}:{lineno} ({key})")
-    return sections
+    return parse_sections(text, origin, ConfigError, _TYPED)
 
 
 @dataclass
@@ -184,6 +162,19 @@ def build_config(sections: Dict[str, dict]) -> RunConfig:
                           f"got {data.source!r}")
     if data.source != "synthetic" and not data.path:
         raise ConfigError(f"[data] source {data.source} requires 'path'")
+    for key, rule, ok in (("batch_size", ">= 1", data.batch_size >= 1),
+                          ("per_class_train", ">= 1", data.per_class_train >= 1),
+                          ("per_class_val", ">= 1", data.per_class_val >= 1),
+                          ("pad", ">= 0", data.pad >= 0),
+                          ("hflip_prob", "in [0, 1]", 0.0 <= data.hflip_prob <= 1.0)):
+        if not ok:
+            raise ConfigError(f"[data] {key} must be {rule}, got {getattr(data, key)}")
+    for name, model in (("model.teacher", teacher), ("model.student", student)):
+        if data.source == "synthetic" and model is not None:
+            step = 1 << sum(model.downsample)     # each tap halves the resolution
+            if data.image_size < 1 or data.image_size % step:
+                raise ConfigError(f"[data] image_size must be a positive multiple of "
+                                  f"{step} for [{name}], got {data.image_size}")
     o = sections["optim"]
     for req in ("lr0",):
         if req not in o:
@@ -211,13 +202,6 @@ def build_config(sections: Dict[str, dict]) -> RunConfig:
                      run=run)
 
 
-def parse_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return build_config(parse_kv_text(path.read_text(), origin=str(path)))
-
-
 def merge_sections(base: Dict[str, dict], overlay: Dict[str, dict]) -> Dict[str, dict]:
     out = {k: dict(v) for k, v in base.items()}
     for sec, kvs in overlay.items():
@@ -238,18 +222,12 @@ def _fmt_value(tag: str, v) -> str:
     return str(v)
 
 
-def sections_to_text(sections: Dict[str, dict]) -> str:
-    """Canonical serialization: fixed section and key order."""
-    lines = []
-    for sec in _SECTION_ORDER:
-        if sec not in sections:
-            continue
-        lines.append(f"[{sec}]")
-        for key, tag in _SCHEMA[sec].items():
-            if key in sections[sec]:
-                lines.append(f"{key} = {_fmt_value(tag, sections[sec][key])}")
-        lines.append("")
-    return "\n".join(lines)
+def snapshot_text(sections: Dict[str, dict]) -> str:
+    """Canonical text of typed sections: fixed section and key order."""
+    return emit_sections({
+        sec: {key: _fmt_value(tag, sections[sec][key])
+              for key, tag in _SCHEMA[sec].items() if key in sections[sec]}
+        for sec in _SCHEMA if sec in sections})
 
 
 PRESETS = {

@@ -76,7 +76,6 @@ class AugmentConfig:
 class BatchPlan:
     batch_size: int
     shuffle_seed: int
-    drop_last: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -119,9 +118,10 @@ def write_cifar10(path, pixels_u8: np.ndarray, labels) -> None:
     recs.astype(np.uint8).tofile(str(path))
 
 
-def _synthetic_templates(classes: int, image_size: int, seed: int) -> np.ndarray:
-    """Smooth low-frequency templates: 4x4 base upscaled then box-blurred,
-    so small spatial shifts keep samples close to their own template."""
+def synthetic_templates(classes: int, image_size: int, seed: int) -> np.ndarray:
+    """The generator's class templates (the nearest-template test oracle uses
+    them too): smooth low-frequency 4x4 bases upscaled then box-blurred, so
+    small spatial shifts keep samples close to their own template."""
     rng = np.random.default_rng(derive(seed, "templates"))
     base = rng.uniform(0.0, 1.0, size=(classes, SYNTHETIC_CHANNELS, 4, 4))
     reps = int(np.ceil(image_size / 4))
@@ -141,7 +141,7 @@ def make_synthetic(classes: int, per_class: int, image_size: int, seed: int,
     """
     if classes < 2:
         raise ValueError(f"need >= 2 classes, got {classes}")
-    templates = _synthetic_templates(classes, image_size, seed)
+    templates = synthetic_templates(classes, image_size, seed)
     rng = np.random.default_rng(derive(seed, f"samples-{split}"))
     n = classes * per_class
     images = np.empty((n, SYNTHETIC_CHANNELS, image_size, image_size), dtype=np.float32)
@@ -157,11 +157,6 @@ def make_synthetic(classes: int, per_class: int, image_size: int, seed: int,
             labels[idx] = c
             idx += 1
     return Dataset(images=images, labels=labels, class_count=classes, split=split)
-
-
-def synthetic_templates(classes: int, image_size: int, seed: int) -> np.ndarray:
-    """The generator's class templates; the nearest-template test oracle uses these."""
-    return _synthetic_templates(classes, image_size, seed)
 
 
 def channel_stats(ds: Dataset) -> Tuple[np.ndarray, np.ndarray]:
@@ -212,8 +207,7 @@ def iterate_batches(ds: Dataset, plan: BatchPlan, epoch: int,
         order = rng.permutation(n)
     else:
         order = np.arange(n)
-    stop = (n // plan.batch_size) * plan.batch_size if plan.drop_last else n
-    for start in range(0, stop, plan.batch_size):
+    for start in range(0, n, plan.batch_size):
         idx = order[start:start + plan.batch_size]
         yield ds.images[idx], ds.labels[idx]
 

@@ -14,8 +14,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from . import oracle
-from .losses import (ChannelWeights, cd_loss, ce_loss, channel_weights, gkd_loss,
-                     kd_loss, total_loss)
+from .losses import cd_loss, ce_loss, channel_weights, gkd_loss, kd_loss, total_loss
 from .models import (NetworkSpec, adapt_channels, build_network, forward_with_taps,
                      freeze, make_adapter)
 from .optim import EdtParams, edt_weight
@@ -86,12 +85,12 @@ def value_reports(seed: int = 0, cases: int = 50) -> List[OracleReport]:
 
         f = rng.normal(size=(4, 8, 7, 7)).astype(np.float32)
         reports.append(_report(f"channel_weights/{i}",
-                               channel_weights(Tensor(f)).values.data,
+                               channel_weights(Tensor(f)).data,
                                oracle.oracle_channel_weights(f), REDUCTION_TOL))
 
         ws = rng.normal(size=(4, 16)).astype(np.float32)
         wt = rng.normal(size=(4, 16)).astype(np.float32)
-        got = cd_loss(ChannelWeights(Tensor(ws)), ChannelWeights(Tensor(wt))).item()
+        got = cd_loss(Tensor(ws), Tensor(wt)).item()
         reports.append(_report(f"cd/{i}", got, oracle.oracle_cd(ws, wt), REDUCTION_TOL))
 
         s = rng.normal(size=(8, 5)).astype(np.float32) * 3
@@ -129,7 +128,7 @@ def grad_reports(seed: int = 0, cases: int = 20) -> List[OracleReport]:
         reports.append(_grad_report(f"grad/sub/{i}",
                                     lambda t: (t - yt).square().sum(), x0))
         reports.append(_grad_report(f"grad/mul/{i}", lambda t: (t * yt).sum(), x0))
-        reports.append(_grad_report(f"grad/scalar_mul/{i}",
+        reports.append(_grad_report(f"grad/scalar-mul/{i}",
                                     lambda t: (t * 1.7).sum(), x0))
         reports.append(_grad_report(f"grad/square-mean/{i}",
                                     lambda t: t.square().mean(), x0))
@@ -182,7 +181,7 @@ def grad_reports(seed: int = 0, cases: int = 20) -> List[OracleReport]:
                                     lambda t: ce_loss(t, labels), s0))
 
         f0 = rng.normal(size=(2, 3, 4, 4))
-        wt_cw = ChannelWeights(Tensor(rng.normal(size=(2, 3)).astype(np.float32)))
+        wt_cw = Tensor(rng.normal(size=(2, 3)).astype(np.float32))
         reports.append(_grad_report(
             f"grad/cd/{i}", lambda t: cd_loss(channel_weights(t), wt_cw), f0))
     return reports
@@ -207,10 +206,10 @@ def composite_grad_reports(seed: int = 0) -> List[OracleReport]:
     def objective() -> Tensor:
         t_logits, t_taps = forward_with_taps(teacher, x)
         s_logits, s_taps = forward_with_taps(student, x)
-        cd_terms = [cd_loss(channel_weights(adapt_channels(adapter, s_taps[0].feature)),
-                            channel_weights(t_taps[0].feature))]
-        gkd, cnt = gkd_loss(s_logits, t_logits, labels, 4.0)
-        bd = total_loss(cd_terms, gkd, ce_loss(s_logits, labels), w_edt, cnt)
+        cd_terms = [cd_loss(channel_weights(adapt_channels(adapter, s_taps[0])),
+                            channel_weights(t_taps[0]))]
+        gkd, _ = gkd_loss(s_logits, t_logits, labels, 4.0)
+        bd = total_loss(cd_terms, gkd, ce_loss(s_logits, labels), w_edt)
         return bd.objective
 
     def zero_all():

@@ -24,12 +24,6 @@ from .tensor import Tensor, global_avg_pool, softened_softmax
 
 
 @dataclass
-class ChannelWeights:
-    """Per-sample, per-channel GAP vector of a feature map; shape [n, c]."""
-    values: Tensor
-
-
-@dataclass
 class LossBreakdown:
     """Scalar views of one step's loss terms plus the differentiable objective.
 
@@ -41,7 +35,6 @@ class LossBreakdown:
     ce: float
     edt_weight: float
     total: float
-    correct_teacher_count: int
     objective: Tensor
 
 
@@ -72,26 +65,21 @@ class DistillConfig:
         return self.alpha > 0.0
 
 
-def channel_weights(feature: Tensor) -> ChannelWeights:
-    """Spatial mean of each channel; differentiable when the feature is."""
+def channel_weights(feature: Tensor) -> Tensor:
+    """Spatial mean of each channel, [n,c,h,w] -> [n,c]; differentiable when
+    the feature is."""
     if feature.data.ndim != 4:
         raise ValueError(f"channel_weights: expects 4-D feature, got {feature.shape}")
-    return ChannelWeights(global_avg_pool(feature))
+    return global_avg_pool(feature)
 
 
-def cd_loss(ws: ChannelWeights, wt: ChannelWeights) -> Tensor:
-    """Mean squared channel-weight gap; the teacher side is detached here."""
-    s, t = ws.values, wt.values.detach()
-    if s.shape != t.shape:
-        raise ValueError(f"cd_loss: shape mismatch {s.shape} vs {t.shape}")
-    return (s - t).square().mean()
-
-
-def _stable_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
-    z = logits.astype(np.float32) / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def cd_loss(ws: Tensor, wt: Tensor) -> Tensor:
+    """Mean squared gap between [n,c] channel weights; the teacher side wt is
+    detached here."""
+    t = wt.detach()
+    if ws.shape != t.shape:
+        raise ValueError(f"cd_loss: shape mismatch {ws.shape} vs {t.shape}")
+    return (ws - t).square().mean()
 
 
 def _masked_kl(student_logits: Tensor, teacher_logits: Tensor, mask: np.ndarray,
@@ -102,7 +90,7 @@ def _masked_kl(student_logits: Tensor, teacher_logits: Tensor, mask: np.ndarray,
     so "teacher correct everywhere" collapses gkd to kd bit-for-bit.
     """
     denom = float(mask.sum())
-    p_t = _stable_softmax(teacher_logits.data, temperature)      # detached
+    p_t = softened_softmax(teacher_logits.detach(), temperature).data
     coef = (mask[:, None] * p_t / denom).astype(np.float32)
     # teacher entropy side: constant, 0 log 0 := 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -173,8 +161,7 @@ def ce_loss(student_logits: Tensor, labels) -> Tensor:
 
 
 def total_loss(cd_terms: Sequence[Tensor], gkd: Optional[Tensor], ce: Tensor,
-               edt_weight: float, correct_count: int = 0,
-               cd_enabled: bool = True) -> LossBreakdown:
+               edt_weight: float, cd_enabled: bool = True) -> LossBreakdown:
     """Combine the per-tap CD terms (averaged), GKD/KD, and CE into Eq-style
     total = edt_weight * cd + gkd + ce.
 
@@ -209,4 +196,4 @@ def total_loss(cd_terms: Sequence[Tensor], gkd: Optional[Tensor], ce: Tensor,
         objective = objective + t
     return LossBreakdown(cd=cd_val, gkd=gkd_val, ce=ce.item(),
                          edt_weight=float(edt_weight), total=objective.item(),
-                         correct_teacher_count=correct_count, objective=objective)
+                         objective=objective)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -76,25 +76,18 @@ class NetworkSpec:
         return spec
 
 
-def spec_to_text(spec: NetworkSpec) -> str:
-    """Canonical one-line-per-field encoding, embedded in checkpoint headers."""
-    parts = []
-    for st in spec.stages:
-        parts.append(f"{st.blocks}x{st.channels}" + ("d" if st.downsample else ""))
-    return (f"stages = {','.join(parts)}\n"
-            f"num_classes = {spec.num_classes}\n"
-            f"input_channels = {spec.input_channels}\n"
-            f"residual = {'true' if spec.residual else 'false'}\n")
+def spec_fields(spec: NetworkSpec) -> Dict[str, str]:
+    """Canonical text encoding, one field per key; a checkpoint header's
+    [arch.model] section."""
+    stages = ",".join(f"{st.blocks}x{st.channels}" + ("d" if st.downsample else "")
+                      for st in spec.stages)
+    return {"stages": stages, "num_classes": str(spec.num_classes),
+            "input_channels": str(spec.input_channels),
+            "residual": "true" if spec.residual else "false"}
 
 
-def spec_from_text(text: str) -> NetworkSpec:
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+def spec_from_fields(fields: Mapping[str, str]) -> NetworkSpec:
+    """Inverse of ``spec_fields``; raises KeyError or ValueError on bad fields."""
     stages = []
     for part in fields["stages"].split(","):
         part = part.strip()
@@ -103,19 +96,14 @@ def spec_from_text(text: str) -> NetworkSpec:
             part = part[:-1]
         blocks, _, channels = part.partition("x")
         stages.append(StageSpec(int(blocks), int(channels), down))
+    if fields["residual"] not in ("true", "false"):
+        raise ValueError(f"residual must be true or false, got {fields['residual']!r}")
     spec = NetworkSpec(stages=tuple(stages),
                        num_classes=int(fields["num_classes"]),
                        input_channels=int(fields["input_channels"]),
                        residual=fields["residual"] == "true")
     spec.validate()
     return spec
-
-
-@dataclass
-class TapPoint:
-    """Post-activation output of a stage whose entry reduced spatial resolution."""
-    stage_index: int
-    feature: Tensor
 
 
 @dataclass
@@ -211,8 +199,8 @@ def parameter_count(spec: NetworkSpec) -> int:
 def forward_with_taps(net: Network, batch: Tensor):
     """Run the network, returning (logits, taps at each downsampling stage).
 
-    Taps are ordered shallow to deep and are the stage outputs themselves,
-    so recording them never perturbs the logits.
+    Taps are ordered shallow to deep and are the stage output Tensors
+    themselves, so recording them never perturbs the logits.
     """
     spec = net.spec
     x = batch
@@ -232,7 +220,7 @@ def forward_with_taps(net: Network, batch: Tensor):
         for blk in net._blocks[si]:
             x = _forward_block(net, blk, x, spec.residual)
         if stage.downsample:
-            taps.append(TapPoint(stage_index=si, feature=x))
+            taps.append(x)
     pooled = global_avg_pool(x)
     logits = add_bias(pooled @ net.params["fc.w"], net.params["fc.b"])
     return logits, taps

@@ -150,19 +150,12 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         od, ot = self._coerce(other, "add")
-        out_data = self.data + od
-        if ot is None:
-            def vjp(g, a=self):
-                if a.requires_grad:
-                    a._accum(g)
-            return Tensor._from_op(out_data, (self,), vjp)
-
         def vjp(g, a=self, b=ot):
             if a.requires_grad:
-                a._accum(g if a.shape == g.shape else g.sum().reshape(a.shape))
-            if b.requires_grad:
-                b._accum(g if b.shape == g.shape else g.sum().reshape(b.shape))
-        return Tensor._from_op(out_data, (self, ot), vjp)
+                a._accum(_unbroadcast(g, a.shape))
+            if b is not None and b.requires_grad:
+                b._accum(_unbroadcast(g, b.shape))
+        return Tensor._from_op(self.data + od, _operands(self, ot), vjp)
 
     __radd__ = __add__
 
@@ -174,19 +167,12 @@ class Tensor:
 
     def __sub__(self, other) -> "Tensor":
         od, ot = self._coerce(other, "sub")
-        out_data = self.data - od
-        if ot is None:
-            def vjp(g, a=self):
-                if a.requires_grad:
-                    a._accum(g)
-            return Tensor._from_op(out_data, (self,), vjp)
-
         def vjp(g, a=self, b=ot):
             if a.requires_grad:
-                a._accum(g if a.shape == g.shape else g.sum().reshape(a.shape))
-            if b.requires_grad:
-                b._accum(-g if b.shape == g.shape else -g.sum().reshape(b.shape))
-        return Tensor._from_op(out_data, (self, ot), vjp)
+                a._accum(_unbroadcast(g, a.shape))
+            if b is not None and b.requires_grad:
+                b._accum(_unbroadcast(-g, b.shape))
+        return Tensor._from_op(self.data - od, _operands(self, ot), vjp)
 
     def __rsub__(self, other) -> "Tensor":
         od, _ = self._coerce(other, "sub")
@@ -197,21 +183,12 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         od, ot = self._coerce(other, "mul")
-        out_data = self.data * od
-        if ot is None:
-            def vjp(g, a=self, s=od):
-                if a.requires_grad:
-                    a._accum(g * s)
-            return Tensor._from_op(out_data, (self,), vjp)
-
-        def vjp(g, a=self, b=ot):
+        def vjp(g, a=self, b=ot, bd=od):
             if a.requires_grad:
-                ga = g * b.data
-                a._accum(ga if a.shape == ga.shape else ga.sum().reshape(a.shape))
-            if b.requires_grad:
-                gb = g * a.data
-                b._accum(gb if b.shape == gb.shape else gb.sum().reshape(b.shape))
-        return Tensor._from_op(out_data, (self, ot), vjp)
+                a._accum(_unbroadcast(g * bd, a.shape))
+            if b is not None and b.requires_grad:
+                b._accum(_unbroadcast(g * a.data, b.shape))
+        return Tensor._from_op(self.data * od, _operands(self, ot), vjp)
 
     __rmul__ = __mul__
 
@@ -274,13 +251,15 @@ class Tensor:
                 b._accum(a.data.T @ g)
         return Tensor._from_op(out_data, (self, other), vjp)
 
-    def backward(self) -> None:
-        backward(self)
+
+def _operands(a: Tensor, b: Optional[Tensor]) -> tuple:
+    return (a,) if b is None else (a, b)
 
 
-def scalar_mul(x: Tensor, s: float) -> Tensor:
-    """Multiply a tensor by a Python scalar."""
-    return x * float(s)
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Gradient for an operand of ``shape``: g itself, or summed when the
+    operand was a size-1 tensor broadcast against a larger one."""
+    return g if g.shape == shape else g.sum().reshape(shape)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -388,35 +367,6 @@ def softened_softmax(logits: Tensor, temperature: float) -> Tensor:
     return Tensor._from_op(p, (logits,), vjp)
 
 
-class Tape:
-    """Topologically ordered record of the ops reachable from one output."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: list):
-        self.entries = entries
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Tape":
-        """Iterative post-order DFS; inputs always precede the ops that use them."""
-        entries: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                entries.append(node)
-                continue
-            if node.node_id in visited:
-                continue
-            visited.add(node.node_id)
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.node_id not in visited:
-                    stack.append((parent, False))
-        return cls(entries)
-
-
 def backward(loss: Tensor) -> None:
     """Populate .grad on every gradient-requiring tensor reachable from loss.
 
@@ -430,10 +380,25 @@ def backward(loss: Tensor) -> None:
     loss._backward_ran = True
     if not loss.requires_grad:
         return
-    tape = Tape.trace(loss)
+    # iterative post-order DFS: inputs always precede the ops that use them
+    order: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if node.node_id in visited:
+            continue
+        visited.add(node.node_id)
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.node_id not in visited:
+                stack.append((parent, False))
     loss._accum(np.ones_like(loss.data))
     # reverse topological order: a node's full upstream gradient is in place
     # before its own vjp runs, so each recorded op fires exactly once
-    for node in reversed(tape.entries):
+    for node in reversed(order):
         if node._vjp is not None and node.grad is not None:
             node._vjp(node.grad)

@@ -18,13 +18,15 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (AugmentConfig, BatchPlan, Dataset, augment_batch, channel_stats,
                    iterate_batches, normalize)
+from .kvtext import emit_sections, parse_sections
 from .losses import (DistillConfig, LossBreakdown, cd_loss, ce_loss, channel_weights,
                      gkd_loss, kd_loss, teacher_correct_mask, total_loss)
 from .models import (ChannelAdapter, Network, NetworkSpec, adapt_channels, build_network,
-                     forward_with_taps, freeze, make_adapter, spec_from_text, spec_to_text)
+                     forward_with_taps, freeze, make_adapter, spec_fields,
+                     spec_from_fields)
 from .optim import EdtParams, LrSchedule, SgdConfig, SgdOptimizer, edt_weight, lr_at_epoch
 from .seeds import derive, derive_epoch
 from .tensor import Tensor, backward, no_grad
@@ -53,8 +55,6 @@ class TrainState:
 class Metrics:
     top1_error: float
     top5_error: float
-    wall_seconds: float = 0.0
-    breakdown: Optional[LossBreakdown] = None
 
 
 @dataclass
@@ -82,7 +82,6 @@ def evaluate(net: Network, ds: Dataset, means: np.ndarray, stds: np.ndarray,
     if ds.class_count != net.spec.num_classes:
         raise ValueError(f"dataset has {ds.class_count} classes, model expects "
                          f"{net.spec.num_classes}")
-    t0 = time.perf_counter()
     plan = BatchPlan(batch_size=batch_size, shuffle_seed=0)
     all_logits = []
     with no_grad():
@@ -91,44 +90,14 @@ def evaluate(net: Network, ds: Dataset, means: np.ndarray, stds: np.ndarray,
             all_logits.append(logits.data)
     logits = np.concatenate(all_logits, axis=0)
     return Metrics(top1_error=topk_error(logits, ds.labels, 1),
-                   top5_error=topk_error(logits, ds.labels, 5),
-                   wall_seconds=time.perf_counter() - t0)
+                   top5_error=topk_error(logits, ds.labels, 5))
 
 
 # -- checkpoint headers -------------------------------------------------------
 
 
-def _emit_header(sections) -> str:
-    lines = []
-    for name, kvs in sections:
-        lines.append(f"[{name}]")
-        lines.extend(f"{k} = {v}" for k, v in kvs)
-    return "\n".join(lines) + "\n"
-
-
-def _parse_header(text: str) -> Dict[str, Dict[str, str]]:
-    out: Dict[str, Dict[str, str]] = {}
-    section = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1]
-            out[section] = {}
-            continue
-        key, _, value = line.partition("=")
-        out[section][key.strip()] = value.strip()
-    return out
-
-
 def _fmt(v: float) -> str:
     return f"{v:.10g}"
-
-
-def _spec_kvs(spec: NetworkSpec):
-    return [tuple(part.strip() for part in line.split("=", 1))
-            for line in spec_to_text(spec).strip().splitlines()]
 
 
 def _floats_csv(values) -> str:
@@ -139,24 +108,23 @@ def _save_run_checkpoint(path: Path, spec: NetworkSpec, net: Network,
                          adapters: Optional[List[ChannelAdapter]],
                          opt: SgdOptimizer, state: TrainState,
                          means: np.ndarray, stds: np.ndarray) -> None:
-    sections = [("arch.model", _spec_kvs(spec))]
+    sections = {"arch.model": spec_fields(spec)}
     if adapters is not None:
-        kvs = [("count", str(len(adapters)))]
+        kvs = {"count": str(len(adapters))}
         for i, a in enumerate(adapters):
-            kvs.append((f"a{i}", "identity" if a.identity_flag
-                        else f"{a.in_channels}->{a.out_channels}"))
-        sections.append(("adapters", kvs))
-    sections.append(("normalize", [("means", _floats_csv(means)),
-                                   ("stds", _floats_csv(stds))]))
-    sections.append(("state", [
-        ("epoch", str(state.epoch)),
-        ("global_step", str(state.global_step)),
-        ("model_seed", str(state.model_seed)),
-        ("shuffle_seed", str(state.shuffle_seed)),
-        ("augment_seed", str(state.augment_seed)),
-        ("adapter_seed", str(state.adapter_seed)),
-        ("best_val_top1", _fmt(state.best_val_top1)),
-    ]))
+            kvs[f"a{i}"] = ("identity" if a.identity_flag
+                            else f"{a.in_channels}->{a.out_channels}")
+        sections["adapters"] = kvs
+    sections["normalize"] = {"means": _floats_csv(means), "stds": _floats_csv(stds)}
+    sections["state"] = {
+        "epoch": str(state.epoch),
+        "global_step": str(state.global_step),
+        "model_seed": str(state.model_seed),
+        "shuffle_seed": str(state.shuffle_seed),
+        "augment_seed": str(state.augment_seed),
+        "adapter_seed": str(state.adapter_seed),
+        "best_val_top1": _fmt(state.best_val_top1),
+    }
     tensors: Dict[str, np.ndarray] = {}
     for name, p in net.parameters():
         tensors[name] = p.data
@@ -165,41 +133,49 @@ def _save_run_checkpoint(path: Path, spec: NetworkSpec, net: Network,
             if not a.identity_flag:
                 tensors[f"adapter{i}.w"] = a.kernel.data
     tensors.update(opt.state_tensors())
-    save_checkpoint(path, _emit_header(sections), tensors)
+    save_checkpoint(path, emit_sections(sections), tensors)
 
 
 def load_model_checkpoint(path):
-    """Rebuild (net, adapters, state, normalization stats, raw tensors)."""
+    """Rebuild (net, adapters, state, normalization stats, raw tensors).
+
+    A header or tensor table that does not describe a whole run raises
+    CheckpointError naming the file and what is missing or malformed.
+    """
     header, tensors = load_checkpoint(path)
-    secs = _parse_header(header)
-    arch_text = "\n".join(f"{k} = {v}" for k, v in secs["arch.model"].items())
-    spec = spec_from_text(arch_text)
-    net = build_network(spec, seed=0)
-    net.load_param_values({name: tensors[name] for name, _ in net.parameters()})
-    adapters = None
-    if "adapters" in secs:
-        adapters = []
-        for i in range(int(secs["adapters"]["count"])):
-            desc = secs["adapters"][f"a{i}"]
-            if desc == "identity":
-                c = spec.tap_channels[i]
-                adapters.append(ChannelAdapter(c, c, identity_flag=True))
-            else:
-                c_in, c_out = (int(x) for x in desc.split("->"))
-                a = ChannelAdapter(c_in, c_out, identity_flag=False,
-                                   kernel=Tensor(tensors[f"adapter{i}.w"],
-                                                 requires_grad=True))
-                adapters.append(a)
-    st = secs["state"]
-    state = TrainState(epoch=int(st["epoch"]), global_step=int(st["global_step"]),
-                       model_seed=int(st["model_seed"]),
-                       shuffle_seed=int(st["shuffle_seed"]),
-                       augment_seed=int(st["augment_seed"]),
-                       adapter_seed=int(st["adapter_seed"]),
-                       best_val_top1=float(st["best_val_top1"]))
-    norm = secs["normalize"]
-    means = np.array([float(x) for x in norm["means"].split(",")], dtype=np.float32)
-    stds = np.array([float(x) for x in norm["stds"].split(",")], dtype=np.float32)
+    secs = parse_sections(header, str(path), CheckpointError)
+    try:
+        spec = spec_from_fields(secs["arch.model"])
+        net = build_network(spec, seed=0)
+        net.load_param_values({name: tensors[name] for name, _ in net.parameters()})
+        adapters = None
+        if "adapters" in secs:
+            adapters = []
+            for i in range(int(secs["adapters"]["count"])):
+                desc = secs["adapters"][f"a{i}"]
+                if desc == "identity":
+                    c = spec.tap_channels[i]
+                    adapters.append(ChannelAdapter(c, c, identity_flag=True))
+                else:
+                    c_in, c_out = (int(x) for x in desc.split("->"))
+                    a = ChannelAdapter(c_in, c_out, identity_flag=False,
+                                       kernel=Tensor(tensors[f"adapter{i}.w"],
+                                                     requires_grad=True))
+                    adapters.append(a)
+        st = secs["state"]
+        state = TrainState(epoch=int(st["epoch"]), global_step=int(st["global_step"]),
+                           model_seed=int(st["model_seed"]),
+                           shuffle_seed=int(st["shuffle_seed"]),
+                           augment_seed=int(st["augment_seed"]),
+                           adapter_seed=int(st["adapter_seed"]),
+                           best_val_top1=float(st["best_val_top1"]))
+        norm = secs["normalize"]
+        means = np.array([float(x) for x in norm["means"].split(",")], dtype=np.float32)
+        stds = np.array([float(x) for x in norm["stds"].split(",")], dtype=np.float32)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: no {exc.args[0]!r} in header or tensors") from None
+    except (IndexError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     return net, adapters, state, (means, stds), tensors
 
 
@@ -296,13 +272,13 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
             cd_terms: List[Tensor] = []
             if cd_on:
                 for i, (tt, st_) in enumerate(zip(t_taps, s_taps)):
-                    adapted = adapt_channels(adapters[i], st_.feature)
-                    if adapted.shape[2:] != tt.feature.shape[2:]:
+                    adapted = adapt_channels(adapters[i], st_)
+                    if adapted.shape[2:] != tt.shape[2:]:
                         raise ValueError(
                             f"tap {i}: spatial mismatch {adapted.shape[2:]} vs "
-                            f"{tt.feature.shape[2:]}")
+                            f"{tt.shape[2:]}")
                     cd_terms.append(cd_loss(channel_weights(adapted),
-                                            channel_weights(tt.feature)))
+                                            channel_weights(tt)))
             gkd_term = None
             cnt = 0
             if gkd_on:
@@ -314,8 +290,7 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
                 cnt = int(teacher_correct_mask(t_logits, labels).sum())
             ce_term = ce_loss(s_logits, labels)
 
-            bd = total_loss(cd_terms, gkd_term, ce_term, w_edt, cnt,
-                            cd_enabled=cd_on)
+            bd = total_loss(cd_terms, gkd_term, ce_term, w_edt, cd_enabled=cd_on)
             if not np.isfinite(bd.total):
                 _dump_diagnostic(out_dir, state, epoch, lr, bd)
                 raise NonFiniteLossError(

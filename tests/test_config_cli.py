@@ -1,8 +1,9 @@
 import pytest
 
 from cdkd.cli import main
+from cdkd.checkpoint import load_checkpoint, save_checkpoint
 from cdkd.config import (ConfigError, build_config, load_config, parse_kv_text,
-                         preset_sections, sections_to_text)
+                         preset_sections, snapshot_text)
 
 TINY_CONFIG = """
 [model.teacher]
@@ -76,8 +77,27 @@ def test_unknown_section_rejected():
 
 
 def test_type_violation_is_diagnosed():
-    with pytest.raises(ConfigError, match="cannot parse"):
-        parse_kv_text("[optim]\nlr0 = fast\n")
+    for text, where in (("[optim]\nlr0 = fast\n", "<t>:2: cannot parse lr0"),
+                        ("[model.student]\nchannels = 4,8,16\ndownsample = 0,yes,1\n",
+                         "<t>:3: cannot parse downsample")):
+        with pytest.raises(ConfigError, match=where):
+            parse_kv_text(text, origin="<t>")
+
+
+@pytest.mark.parametrize("overlay, key", [
+    ("[data]\nbatch_size = 0", "batch_size"),
+    ("[data]\nper_class_train = 0", "per_class_train"),
+    ("[data]\nper_class_val = 0", "per_class_val"),
+    ("[data]\npad = -1", "pad"),
+    ("[data]\nhflip_prob = 1.5", "hflip_prob"),
+    ("[model.student]\nchannels = 3,4,6\n[data]\nimage_size = 6",   # 2 taps: needs 4 | 6
+     "image_size"),
+])
+def test_data_values_are_validated_on_load(tmp_path, overlay, key):
+    path = tmp_path / "c.conf"
+    path.write_text(TINY_CONFIG.format(out=tmp_path) + "\n" + overlay + "\n")
+    with pytest.raises(ConfigError, match=rf"\[data\] {key} must be"):
+        load_config(path=path)
 
 
 def test_missing_required_section():
@@ -126,7 +146,7 @@ def load_cifar_binary_for_test(path):
 def test_canonical_snapshot_round_trips(tmp_path):
     path = write_config(tmp_path, tmp_path / "out")
     cfg = load_config(path=path)
-    text = sections_to_text(cfg._sections)
+    text = snapshot_text(cfg._sections)
     assert parse_kv_text(text) == cfg._sections
 
 
@@ -210,3 +230,19 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     assert main(["train-teacher", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "learning_rat" in err
+
+
+def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, capsys):
+    conf, teacher_out, _ = cli_run
+    header, tensors = load_checkpoint(teacher_out / "final.ckpt")
+    no_arch = header.replace("[arch.model]", "[arch.other]")
+    short_table = dict(tensors)
+    short_table.pop("fc.b")
+    for name, head, table in (("no-arch.ckpt", no_arch, tensors),
+                              ("no-fc-b.ckpt", header, short_table)):
+        path = tmp_path / name
+        save_checkpoint(path, head, table)     # CRC-valid, contents incomplete
+        capsys.readouterr()
+        assert main(["eval", "--config", str(conf), "--ckpt", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]

@@ -162,17 +162,9 @@ def test_batches_are_pure_function_of_seed_and_epoch():
     assert a != c
 
 
-def test_drop_last_floor_division():
-    ds = make_synthetic(2, 5, 8, seed=3)          # N = 10
-    plan = BatchPlan(batch_size=4, shuffle_seed=0, drop_last=True)
-    batches = list(iterate_batches(ds, plan, epoch=0))
-    assert len(batches) == 2
-    assert all(len(lab) == 4 for _, lab in batches)
-
-
 def test_every_sample_once_per_epoch_without_drop_last():
     ds = make_synthetic(2, 5, 8, seed=3)
-    plan = BatchPlan(batch_size=4, shuffle_seed=0, drop_last=False)
+    plan = BatchPlan(batch_size=4, shuffle_seed=0)
     seen = np.concatenate([img.sum(axis=(1, 2, 3)) for img, _ in
                            iterate_batches(ds, plan, epoch=1)])
     assert len(seen) == 10

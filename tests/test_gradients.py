@@ -10,7 +10,7 @@ from cdkd.tensor import Tensor, backward, conv2d, global_avg_pool
 def test_every_op_and_loss_matches_finite_differences():
     reports = grad_reports(seed=0, cases=20)
     ops = {r.case_id.split("/")[1] for r in reports}
-    assert {"add", "sub", "mul", "scalar_mul", "square-mean", "relu", "log",
+    assert {"add", "sub", "mul", "scalar-mul", "square-mean", "relu", "log",
             "matmul", "add_bias", "conv2d-input", "conv2d-kernel",
             "global_avg_pool", "softened_softmax", "kd", "gkd", "ce",
             "cd"} <= ops

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from cdkd import oracle
-from cdkd.losses import (ChannelWeights, DistillConfig, cd_loss, ce_loss,
+from cdkd.losses import (DistillConfig, cd_loss, ce_loss,
                          channel_weights, gkd_loss, kd_loss, total_loss)
 from cdkd.tensor import Tensor, backward
 
 
 def cw(values):
-    return ChannelWeights(Tensor(np.asarray(values, dtype=np.float32)))
+    return Tensor(np.asarray(values, dtype=np.float32))
 
 
 # -- channel weights -----------------------------------------------------------
@@ -18,17 +18,17 @@ def cw(values):
 
 def test_channel_weights_is_spatial_mean():
     got = channel_weights(Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]))
-    np.testing.assert_allclose(got.values.data, [[2.5]])
+    np.testing.assert_allclose(got.data, [[2.5]])
 
 
 def test_channel_weights_zero_map():
     got = channel_weights(Tensor(np.zeros((2, 3, 4, 4), dtype=np.float32)))
-    assert np.all(got.values.data == 0)
+    assert np.all(got.data == 0)
 
 
 def test_channel_weights_random_vs_oracle():
     x = np.random.default_rng(0).normal(size=(4, 8, 7, 7)).astype(np.float32)
-    got = channel_weights(Tensor(x)).values.data
+    got = channel_weights(Tensor(x)).data
     np.testing.assert_allclose(got, oracle.oracle_channel_weights(x), atol=1e-6)
 
 
@@ -42,11 +42,11 @@ def test_channel_weights_rejects_non_4d():
 
 def test_cd_zero_on_equal_and_zero_gradient():
     vals = np.random.default_rng(1).normal(size=(3, 5)).astype(np.float32)
-    ws = ChannelWeights(Tensor(vals, requires_grad=True))
+    ws = Tensor(vals, requires_grad=True)
     loss = cd_loss(ws, cw(vals))
     assert loss.item() == 0.0
     backward(loss)
-    np.testing.assert_array_equal(ws.values.grad, np.zeros((3, 5), dtype=np.float32))
+    np.testing.assert_array_equal(ws.grad, np.zeros((3, 5), dtype=np.float32))
 
 
 def test_cd_direct_substitution():
@@ -65,7 +65,7 @@ def test_cd_detaches_teacher_side():
     rng = np.random.default_rng(3)
     s = Tensor(rng.normal(size=(2, 4)).astype(np.float32), requires_grad=True)
     t = Tensor(rng.normal(size=(2, 4)).astype(np.float32), requires_grad=True)
-    backward(cd_loss(ChannelWeights(s), ChannelWeights(t)))
+    backward(cd_loss(s, t))
     assert s.grad is not None
     assert t.grad is None
 
@@ -248,8 +248,7 @@ def test_total_decomposition_identity():
     for _ in range(20):
         cd_terms = [_scalar(v) for v in rng.uniform(0, 2, size=3)]
         bd = total_loss(cd_terms, _scalar(rng.uniform(0, 2)),
-                        _scalar(rng.uniform(0, 3)), edt_weight=float(rng.uniform(0, 2)),
-                        correct_count=3)
+                        _scalar(rng.uniform(0, 3)), edt_weight=float(rng.uniform(0, 2)))
         assert abs(bd.total - (bd.edt_weight * bd.cd + bd.gkd + bd.ce)) <= 1e-6
 
 

@@ -4,7 +4,7 @@ import pytest
 from cdkd.losses import cd_loss, channel_weights
 from cdkd.models import (ChannelAdapter, NetworkSpec, StageSpec, adapt_channels,
                          build_network, forward, forward_with_taps, freeze,
-                         make_adapter, parameter_count, spec_from_text, spec_to_text)
+                         make_adapter, parameter_count, spec_fields, spec_from_fields)
 from cdkd.oracle import oracle_conv2d
 from cdkd.tensor import Tensor, backward, softened_softmax
 
@@ -60,9 +60,8 @@ def test_taps_at_downsampling_stages_32x32():
     logits, taps = forward_with_taps(net, x)
     assert logits.shape == (2, 4)
     assert len(taps) == spec.tap_count == 2
-    assert taps[0].feature.shape == (2, 16, 16, 16)
-    assert taps[1].feature.shape == (2, 32, 8, 8)
-    assert taps[0].stage_index < taps[1].stage_index
+    assert taps[0].shape == (2, 16, 16, 16)
+    assert taps[1].shape == (2, 32, 8, 8)
 
 
 def test_zero_input_gives_uniform_prediction():
@@ -155,4 +154,4 @@ def test_spec_text_round_trip():
     spec = NetworkSpec(stages=(StageSpec(2, 8, False), StageSpec(1, 16, True),
                                StageSpec(3, 32, True)),
                        num_classes=11, input_channels=1, residual=False)
-    assert spec_from_text(spec_to_text(spec)) == spec
+    assert spec_from_fields(spec_fields(spec)) == spec

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cdkd.tensor import (AutodiffError, ShapeError, Tape, Tensor, add_bias, backward,
+from cdkd.tensor import (AutodiffError, ShapeError, Tensor, add_bias, backward,
                          conv2d, global_avg_pool, no_grad, softened_softmax)
 
 
@@ -210,16 +210,27 @@ def test_no_grad_context_suspends_recording():
 
 
 def test_tape_topological_order():
+    """backward fires each recorded op once, after every op that consumes it."""
     x = Tensor([1.0], requires_grad=True)
     y = x.square()
-    z = (y + x).sum()
-    tape = Tape.trace(z)
-    ids = [t.node_id for t in tape.entries]
-    assert len(ids) == len(set(ids))
-    pos = {nid: i for i, nid in enumerate(ids)}
-    for node in tape.entries:
+    z = ((y * x) + y + x).sum()
+    ops, stack = {}, [z]
+    while stack:
+        node = stack.pop()
+        if node._vjp is not None and node.node_id not in ops:
+            ops[node.node_id] = node
+            stack.extend(node._parents)
+    fired = []
+    for node in ops.values():
+        node._vjp = lambda g, n=node, f=node._vjp: (fired.append(n.node_id), f(g))
+    backward(z)
+    assert sorted(fired) == sorted(ops)
+    pos = {nid: i for i, nid in enumerate(fired)}
+    for node in ops.values():
         for parent in node._parents:
-            assert pos[parent.node_id] < pos[node.node_id]
+            if parent.node_id in pos:
+                assert pos[node.node_id] < pos[parent.node_id]
+    np.testing.assert_allclose(x.grad, [6.0])     # d/dx (x^3 + x^2 + x) at 1
 
 
 def test_bit_determinism_across_runs():

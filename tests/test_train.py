@@ -113,8 +113,7 @@ def test_identical_teacher_student_cd_is_zero_at_step_zero(tiny_data, tiny_specs
                 for c in teacher_spec.tap_channels]
     for a, ta, tb in zip(adapters, taps_a, taps_b):
         assert a.identity_flag
-        assert cd_loss(channel_weights(ta.feature),
-                       channel_weights(tb.feature)).item() == 0.0
+        assert cd_loss(channel_weights(ta), channel_weights(tb)).item() == 0.0
 
 
 def test_distill_keeps_teacher_frozen_and_moves_student(tiny_data, tiny_specs, tmp_path):
