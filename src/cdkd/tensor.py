@@ -127,9 +127,10 @@ class Tensor:
         self.grad = None
 
     def _accum(self, g: np.ndarray) -> None:
-        # float32 leaves keep float32 gradients even under float64 upstream
+        # float32 leaves keep float32 gradients even under float64 upstream;
+        # a fresh gradient is always C-contiguous, whatever g's layout
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = np.array(g, dtype=self.data.dtype, order="C")
         else:
             self.grad += g.astype(self.data.dtype, copy=False)
 
@@ -276,11 +277,22 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(x.data + b.data, (x, b), vjp)
 
 
+def _batch_chunks(n: int, per_sample: int) -> list:
+    """Batch slices of about 2**18 column elements (1 MB of float32) each, so
+    all kh*kw strided passes over a chunk of columns hit the same cached lines."""
+    step = max(1, (1 << 18) // per_sample)
+    return [slice(a, a + step) for a in range(0, n, step)]
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of x[n,c_in,h,w] with kernel[c_out,c_in,kh,kw].
 
-    im2col + one BLAS matmul; the backward pass reuses the column matrix
-    for the kernel gradient and scatter-adds the input gradient.
+    im2col + one BLAS matmul, ``cols @ wmat.T``. ``cols`` is C-contiguous
+    [n*h_out*w_out, c_in*kh*kw], columns in (c, i, j) order, filled by kh*kw
+    slice copies ``cols[..., i, j] = xp[:, i::s, j::s, :]`` from a channels-last
+    view of the input (zero-padded into a fresh NHWC buffer only if padding > 0).
+    The backward pass reuses ``cols`` for the kernel gradient and adds the input
+    gradient columns back in the same (i, j) order into an NHWC buffer.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d: expects 4-D input and kernel, got {x.shape} and {kernel.shape}")
@@ -302,34 +314,36 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     h_out = span_h // stride + 1
     w_out = span_w // stride + 1
 
+    xp = x.data.transpose(0, 2, 3, 1)                        # n,h,w,c_in view
     if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]                      # n,c_in,h_out,w_out,kh,kw
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, c_in * kh * kw)
+        xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c_in), x.data.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = x.data.transpose(0, 2, 3, 1)
+    cols = np.empty((n, h_out, w_out, c_in, kh, kw), x.data.dtype)
+    for b in _batch_chunks(n, cols[0].size):
+        for i in range(kh):
+            for j in range(kw):
+                cols[b, ..., i, j] = xp[b, i:i + span_h + 1:stride, j:j + span_w + 1:stride]
+    del xp                                      # freed before the GEMM allocates its output
+    cols = cols.reshape(n * h_out * w_out, c_in * kh * kw)
     wmat = kernel.data.reshape(c_out, c_in * kh * kw)
     out_flat = cols @ wmat.T
     out_data = np.ascontiguousarray(
         out_flat.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2))
 
     def vjp(g, a=x, k=kernel, cols=cols, wmat=wmat, pad=padding, s=stride,
-            dims=(n, c_in, h, w, c_out, kh, kw, h_out, w_out), xp_shape=xp.shape):
+            dims=(n, c_in, h, w, c_out, kh, kw, h_out, w_out)):
         n, c_in, h, w, c_out, kh, kw, h_out, w_out = dims
         g_flat = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
         if k.requires_grad:
             k._accum((g_flat.T @ cols).reshape(k.shape))
         if a.requires_grad:
-            gcols = g_flat @ wmat
-            gc = gcols.reshape(n, h_out, w_out, c_in, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-            gxp = np.zeros(xp_shape, dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + h_out * s:s, j:j + w_out * s:s] += gc[:, :, :, :, i, j]
-            if pad:
-                gxp = gxp[:, :, pad:pad + h, pad:pad + w]
-            a._accum(gxp)
+            gc = (g_flat @ wmat).reshape(n, h_out, w_out, c_in, kh, kw)
+            gxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c_in), g.dtype)
+            for b in _batch_chunks(n, gc[0].size):
+                for i in range(kh):
+                    for j in range(kw):
+                        gxp[b, i:i + h_out * s:s, j:j + w_out * s:s] += gc[b, ..., i, j]
+            a._accum(gxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2))
 
     return Tensor._from_op(out_data, (x, kernel), vjp)
 

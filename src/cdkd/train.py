@@ -158,10 +158,13 @@ def load_model_checkpoint(path):
                     adapters.append(ChannelAdapter(c, c, identity_flag=True))
                 else:
                     c_in, c_out = (int(x) for x in desc.split("->"))
-                    a = ChannelAdapter(c_in, c_out, identity_flag=False,
-                                       kernel=Tensor(tensors[f"adapter{i}.w"],
-                                                     requires_grad=True))
-                    adapters.append(a)
+                    w = tensors[f"adapter{i}.w"]
+                    if c_in != spec.tap_channels[i] or w.shape != (c_out, c_in, 1, 1):
+                        raise CheckpointError(
+                            f"{path}: adapter{i} is {desc} on a {spec.tap_channels[i]}-channel"
+                            f" tap, but adapter{i}.w has shape {w.shape}")
+                    adapters.append(ChannelAdapter(c_in, c_out, identity_flag=False,
+                                                   kernel=Tensor(w, requires_grad=True)))
         st = secs["state"]
         state = TrainState(epoch=int(st["epoch"]), global_step=int(st["global_step"]),
                            model_seed=int(st["model_seed"]),
@@ -249,6 +252,13 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
     t_cfg = distill_cfg if distill_cfg is not None else DistillConfig()
     csv_path = out_dir / "metrics.csv"
     csv_lines = [",".join(CSV_COLUMNS)]
+    if resume_from is not None and csv_path.exists():
+        # resuming into the run's own out-dir keeps the whole rows of the
+        # epochs the checkpoint already covers
+        old = [line.split(",") for line in csv_path.read_text().splitlines()]
+        if old[:1] == [list(CSV_COLUMNS)]:
+            csv_lines += [",".join(r) for r in old[1:] if len(r) == len(CSV_COLUMNS)
+                          and r[0].isdigit() and int(r[0]) < state.epoch]
     last_val = Metrics(float("nan"), float("nan"))
 
     for epoch in range(state.epoch, epochs):

@@ -1,3 +1,4 @@
+import re
 import struct
 import zlib
 
@@ -134,3 +135,16 @@ def test_resealed_corruption_raises_only_checkpoint_error(run_ckpt, data):
         load_model_checkpoint(path)
     except CheckpointError as exc:
         assert str(path) in str(exc)
+
+
+def test_adapter_header_must_match_tap_and_kernel(run_ckpt):
+    root, body = run_ckpt
+    path = root / "adapter.ckpt"
+    _reseal(path, body)
+    header, tensors = load_checkpoint(path)
+    load_model_checkpoint(path)
+    # the student's only tap has 6 channels and adapter0.w is (12, 6, 1, 1)
+    for desc in ("5->7", "6->7", "12->6"):
+        save_checkpoint(path, re.sub(r"(?m)^a0 = .*$", f"a0 = {desc}", header), tensors)
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: adapter0 is"):
+            load_model_checkpoint(path)

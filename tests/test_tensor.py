@@ -252,3 +252,66 @@ def test_conv_stride_and_padding_shapes():
     assert conv2d(x, k, stride=2, padding=0).shape == (1, 3, 4, 4)
     k3 = Tensor(np.zeros((3, 2, 3, 3), dtype=np.float32))
     assert conv2d(x, k3, stride=1, padding=1).shape == (1, 3, 8, 8)
+
+
+def _im2col_conv_reference(x, k, stride, padding, g):
+    """Plain 6-D sliding-window im2col conv, the bit-for-bit reference for
+    ``conv2d``: (out, x_grad, k_grad) for the upstream gradient g."""
+    n, c_in, h, w = x.shape
+    c_out, _, kh, kw = k.shape
+    h_out = (h + 2 * padding - kh) // stride + 1
+    w_out = (w + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, c_in * kh * kw)
+    wmat = k.reshape(c_out, c_in * kh * kw)
+    out = np.ascontiguousarray(
+        (cols @ wmat.T).reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2))
+    g_flat = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
+    k_grad = (g_flat.T @ cols).reshape(k.shape)
+    gc = (g_flat @ wmat).reshape(n, h_out, w_out, c_in, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    gxp = np.zeros(xp.shape, dtype=g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + h_out * stride:stride, j:j + w_out * stride:stride] += gc[..., i, j]
+    return out, gxp[:, :, padding:padding + h, padding:padding + w], k_grad
+
+
+# (batch, c_in, c_out, size, kernel, stride, padding): every conv of the model
+# family at the bench's 16x16 inputs (batch 32 training, batch 256 eval), the
+# 1x1 adapters of both distill students, and two shapes the model never uses
+_CONV_CASES = {
+    "stem-3x3-s1-p1": (32, 3, 12, 16, 3, 1, 1),
+    "3x3-s1-p1-12@16": (32, 12, 12, 16, 3, 1, 1),
+    "3x3-s1-p1-48@4": (32, 48, 48, 4, 3, 1, 1),
+    "2x2-s2-p0-12to24@16": (32, 12, 24, 16, 2, 2, 0),
+    "2x2-s2-p0-24to48@8": (32, 24, 48, 8, 2, 2, 0),
+    "proj-1x1-3to12@16": (32, 3, 12, 16, 1, 1, 0),
+    "adapter-1x1-8to24@8": (32, 8, 24, 8, 1, 1, 0),
+    "adapter-1x1-24to48@4": (32, 24, 48, 4, 1, 1, 0),
+    "eval-3x3-s1-p1-12@16": (256, 12, 12, 16, 3, 1, 1),
+    "eval-2x2-s2-p0-12to24@16": (256, 12, 24, 16, 2, 2, 0),
+    "odd-3x3-s2-p1": (5, 3, 4, 9, 3, 2, 1),
+    "odd-5x5-s1-p2": (3, 2, 3, 7, 5, 1, 2),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_CONV_CASES))
+def test_conv_is_bit_identical_to_im2col_reference(case, dtype):
+    n, c_in, c_out, size, kk, stride, padding = _CONV_CASES[case]
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(n, c_in, size, size)).astype(dtype), requires_grad=True)
+    k = Tensor(rng.normal(size=(c_out, c_in, kk, kk)).astype(dtype), requires_grad=True)
+    out = conv2d(x, k, stride=stride, padding=padding)
+    # an upstream gradient with exact zeros of both signs, as relu masks make
+    g = rng.normal(size=out.shape).astype(dtype)
+    g[rng.random(out.shape) < 0.3] = 0.0
+    g[rng.random(out.shape) < 0.1] = -0.0
+    backward((out * Tensor(g)).sum())
+    want = _im2col_conv_reference(x.data, k.data, stride, padding, g)
+    for got, ref in zip((out.data, x.grad, k.grad), want):
+        assert np.array_equal(got, ref)
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+        assert got.flags.c_contiguous and got.dtype == dtype

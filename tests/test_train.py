@@ -180,6 +180,20 @@ def test_resume_replays_uninterrupted_run(tiny_data, tiny_specs, tmp_path):
     assert resumed.final_ckpt.read_bytes() == full.final_ckpt.read_bytes()
 
 
+def test_resume_into_own_out_dir_keeps_earlier_rows(tiny_data, tiny_specs, tmp_path):
+    train, val = tiny_data
+    _, student = tiny_specs
+    full = train_teacher(student, train, val, SGD, SCHED, epochs=4, seed=13,
+                         out_dir=tmp_path / "full", batch_size=32)
+    run = tmp_path / "run"
+    train_teacher(student, train, val, SGD, SCHED, epochs=2, seed=13, out_dir=run,
+                  batch_size=32)
+    resumed = train_teacher(student, train, val, SGD, SCHED, epochs=4, seed=13,
+                            out_dir=run, batch_size=32, resume_from=run / "last.ckpt")
+    assert strip_wall(resumed.csv_path.read_text()) == strip_wall(full.csv_path.read_text())
+    assert resumed.final_ckpt.read_bytes() == full.final_ckpt.read_bytes()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_loss_aborts_with_diagnostic(tiny_data, tiny_specs, tmp_path):
     train, val = tiny_data
