@@ -71,6 +71,12 @@ class AugmentConfig:
         if not (0.0 <= self.hflip_prob <= 1.0):
             raise ValueError(f"hflip_prob must be in [0, 1], got {self.hflip_prob}")
 
+    @property
+    def randomizes(self) -> bool:
+        """Whether augment_batch draws random crops or flips; when it does
+        not, it only normalizes, and a sample comes out the same every epoch."""
+        return (self.pad > 0 and self.random_crop) or self.hflip_prob > 0
+
 
 @dataclass
 class BatchPlan:
@@ -193,9 +199,10 @@ def augment_batch(batch: np.ndarray, cfg: AugmentConfig,
     return normalize(out, cfg.channel_means, cfg.channel_stds)
 
 
-def iterate_batches(ds: Dataset, plan: BatchPlan, epoch: int,
-                    shuffle: Optional[bool] = None) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Deterministic batches; order is a pure function of (shuffle_seed, epoch).
+def batch_indices(ds: Dataset, plan: BatchPlan, epoch: int,
+                  shuffle: Optional[bool] = None) -> Iterator[np.ndarray]:
+    """Sample indices of each batch; the order is a pure function of
+    (shuffle_seed, epoch), and only the last batch may be short.
 
     Training splits shuffle by default, validation splits never do.
     """
@@ -208,7 +215,13 @@ def iterate_batches(ds: Dataset, plan: BatchPlan, epoch: int,
     else:
         order = np.arange(n)
     for start in range(0, n, plan.batch_size):
-        idx = order[start:start + plan.batch_size]
+        yield order[start:start + plan.batch_size]
+
+
+def iterate_batches(ds: Dataset, plan: BatchPlan, epoch: int,
+                    shuffle: Optional[bool] = None) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Deterministic (images, labels) batches, in batch_indices order."""
+    for idx in batch_indices(ds, plan, epoch, shuffle):
         yield ds.images[idx], ds.labels[idx]
 
 

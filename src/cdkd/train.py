@@ -5,7 +5,9 @@ Teacher training and distillation with every distillation term disabled run
 the identical code path and consume identical RNG streams, so the two
 produce bit-identical trajectories for the same seed. The teacher network
 is frozen for the whole distillation run and its parameter checksum is
-verified at the end of every run.
+verified at the end of every run. When augmentation only normalizes, the
+teacher's outputs for each sample are kept from its first full batch and
+reused by later full batches instead of running the teacher again.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import (AugmentConfig, BatchPlan, Dataset, augment_batch, channel_stats,
-                   iterate_batches, normalize)
+from .data import (AugmentConfig, BatchPlan, Dataset, augment_batch, batch_indices,
+                   channel_stats, iterate_batches, normalize)
 from .kvtext import emit_sections, parse_sections
 from .losses import (DistillConfig, LossBreakdown, cd_loss, ce_loss, channel_weights,
                      gkd_loss, kd_loss, teacher_correct_mask, total_loss)
@@ -192,11 +194,34 @@ def _csv_row(values) -> str:
     return ",".join(cells)
 
 
+class _TeacherTargets:
+    """The frozen teacher's targets per training sample: its logits and, when
+    CD is on, the GAP vector of each tap. Rows are written by the live
+    teacher forward of a full batch and read back by later full batches."""
+
+    def __init__(self, n: int):
+        self.filled = np.zeros(n, dtype=bool)
+        self.arrays: List[np.ndarray] = []   # [n, classes], then [n, c_t] per tap
+
+    def get(self, idx: np.ndarray) -> Optional[List[Tensor]]:
+        if not self.filled[idx].all():
+            return None
+        return [Tensor(a[idx]) for a in self.arrays]
+
+    def put(self, idx: np.ndarray, outs: List[Tensor]) -> None:
+        if not self.arrays:
+            n = len(self.filled)
+            self.arrays = [np.empty((n,) + o.shape[1:], dtype=o.data.dtype) for o in outs]
+        for a, o in zip(self.arrays, outs):
+            a[idx] = o.data
+        self.filled[idx] = True
+
+
 def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConfig,
          sched: LrSchedule, epochs: int, seed: int, out_dir,
          batch_size: int = 128,
          aug_cfg: Optional[AugmentConfig] = None,
-         teacher: Optional[Network] = None,
+         teacher_ckpt=None,
          distill_cfg: Optional[DistillConfig] = None,
          edt: Optional[EdtParams] = None,
          resume_from=None) -> TrainResult:
@@ -211,12 +236,20 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
     gkd_on = distill_cfg is not None and distill_cfg.gkd_enabled
     kd_on = distill_cfg is not None and distill_cfg.plain_kd_fallback
     need_teacher = cd_on or gkd_on or kd_on
-    if need_teacher and teacher is None:
+    if need_teacher and teacher_ckpt is None:
         raise ValueError("distillation terms active but no teacher provided")
 
-    if teacher is not None and teacher.spec.tap_count != spec.tap_count:
-        raise ValueError(f"tap count mismatch: teacher {teacher.spec.tap_count}, "
-                         f"student {spec.tap_count}")
+    teacher = None
+    if teacher_ckpt is not None:
+        teacher, _, _, t_norm, _ = load_model_checkpoint(teacher_ckpt)
+        freeze(teacher)
+        t_spec = teacher.spec
+        for what, t_val, s_val in (("tap count", t_spec.tap_count, spec.tap_count),
+                                   ("class count", t_spec.num_classes, spec.num_classes),
+                                   ("input channel", t_spec.input_channels,
+                                    spec.input_channels)):
+            if t_val != s_val:
+                raise ValueError(f"{what} mismatch: teacher {t_val}, student {s_val}")
 
     adapters: Optional[List[ChannelAdapter]] = None
     if resume_from is not None:
@@ -238,6 +271,18 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
             adapters = [make_adapter(cs, ct, arng)
                         for cs, ct in zip(spec.tap_channels, teacher.spec.tap_channels)]
 
+    if teacher is not None:
+        # the teacher must see inputs normalized as in its own training run
+        for what, t_val, s_val in (("mean", t_norm[0], means), ("std", t_norm[1], stds)):
+            if t_val.shape != s_val.shape:
+                raise ValueError(f"{teacher_ckpt}: teacher has {t_val.size} channel "
+                                 f"{what}s, this run {s_val.size}")
+            bad = np.flatnonzero(t_val != s_val)
+            if bad.size:
+                c = bad[0]
+                raise ValueError(f"{teacher_ckpt}: teacher normalizes channel {c} with "
+                                 f"{what} {t_val[c]:.9g}, this run with {s_val[c]:.9g}")
+
     named = net.trainable_parameters()
     if adapters is not None:
         for i, a in enumerate(adapters):
@@ -249,6 +294,12 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
 
     teacher_crc = teacher.checksum() if teacher is not None else None
     plan = BatchPlan(batch_size=batch_size, shuffle_seed=state.shuffle_seed)
+    # a teacher row's bits do not depend on the other rows of a full batch,
+    # but a short last batch can be one row, whose bits differ: short
+    # batches always run the live teacher and never touch the cache
+    cache = (_TeacherTargets(len(train_ds))
+             if need_teacher and not aug_cfg.randomizes else None)
+    t_hw = None     # spatial shape of each teacher tap, from a live forward
     t_cfg = distill_cfg if distill_cfg is not None else DistillConfig()
     csv_path = out_dir / "metrics.csv"
     csv_lines = [",".join(CSV_COLUMNS)]
@@ -271,24 +322,32 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
         n_seen = 0
         n_correct_teacher = 0
         n_correct_train = 0
-        for imgs, labels in iterate_batches(train_ds, plan, epoch):
+        for (imgs, labels), idx in zip(iterate_batches(train_ds, plan, epoch),
+                                       batch_indices(train_ds, plan, epoch)):
             x = Tensor(augment_batch(imgs, aug_cfg, aug_rng))
             bs = len(labels)
-            t_logits = t_taps = None
+            t_logits = t_gaps = None
             if need_teacher:
-                t_logits, t_taps = forward_with_taps(teacher, x)
+                full = cache is not None and bs == plan.batch_size
+                targets = cache.get(idx) if full else None
+                if targets is None:
+                    t_logits, t_taps = forward_with_taps(teacher, x)
+                    t_hw = [tt.shape[2:] for tt in t_taps]
+                    targets = [t_logits] + ([channel_weights(tt) for tt in t_taps]
+                                            if cd_on else [])
+                    if full:
+                        cache.put(idx, targets)
+                t_logits, t_gaps = targets[0], targets[1:]
             s_logits, s_taps = forward_with_taps(net, x)
 
             cd_terms: List[Tensor] = []
             if cd_on:
-                for i, (tt, st_) in enumerate(zip(t_taps, s_taps)):
+                for i, (hw, wt, st_) in enumerate(zip(t_hw, t_gaps, s_taps)):
                     adapted = adapt_channels(adapters[i], st_)
-                    if adapted.shape[2:] != tt.shape[2:]:
+                    if adapted.shape[2:] != hw:
                         raise ValueError(
-                            f"tap {i}: spatial mismatch {adapted.shape[2:]} vs "
-                            f"{tt.shape[2:]}")
-                    cd_terms.append(cd_loss(channel_weights(adapted),
-                                            channel_weights(tt)))
+                            f"tap {i}: spatial mismatch {adapted.shape[2:]} vs {hw}")
+                    cd_terms.append(cd_loss(channel_weights(adapted), wt))
             gkd_term = None
             cnt = 0
             if gkd_on:
@@ -369,11 +428,6 @@ def train_teacher(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset,
                 batch_size=batch_size, aug_cfg=aug_cfg, resume_from=resume_from)
 
 
-def load_teacher(path) -> Network:
-    net, _, _, _, _ = load_model_checkpoint(path)
-    return freeze(net)
-
-
 def distill(teacher_ckpt, student_spec: NetworkSpec, train_ds: Dataset,
             val_ds: Dataset, distill_cfg: DistillConfig, sgd_cfg: SgdConfig,
             sched: LrSchedule, edt: EdtParams, epochs: int, seed: int, out_dir,
@@ -382,10 +436,12 @@ def distill(teacher_ckpt, student_spec: NetworkSpec, train_ds: Dataset,
     """Teacher-supervised student training with CD, GKD (or plain KD), and EDT.
 
     The teacher is loaded frozen; only student and adapter parameters enter
-    the optimizer. With alpha=0 and both logit terms disabled this reduces,
-    bit for bit, to plain cross-entropy training of the student.
+    the optimizer. A teacher whose tap count, class count, input channels or
+    normalization stats differ from the run's is refused with ValueError
+    before the first step. With alpha=0 and both logit terms disabled this
+    reduces, bit for bit, to plain cross-entropy training of the student.
     """
-    teacher = load_teacher(teacher_ckpt)
     return _fit(student_spec, train_ds, val_ds, sgd_cfg, sched, epochs, seed,
-                out_dir, batch_size=batch_size, aug_cfg=aug_cfg, teacher=teacher,
-                distill_cfg=distill_cfg, edt=edt, resume_from=resume_from)
+                out_dir, batch_size=batch_size, aug_cfg=aug_cfg,
+                teacher_ckpt=teacher_ckpt, distill_cfg=distill_cfg, edt=edt,
+                resume_from=resume_from)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cdkd.data import (AugmentConfig, BatchPlan, DataFormatError, augment_batch,
-                       channel_stats, export_synthetic, iterate_batches,
+                       batch_indices, channel_stats, export_synthetic, iterate_batches,
                        load_cifar_binary, load_synthetic, make_synthetic, normalize,
                        synthetic_templates, write_cifar10, CIFAR100_RECORD)
 
@@ -170,6 +170,18 @@ def test_every_sample_once_per_epoch_without_drop_last():
     assert len(seen) == 10
     np.testing.assert_allclose(np.sort(seen), np.sort(ds.images.sum(axis=(1, 2, 3))),
                                atol=1e-5)
+
+
+def test_batches_are_the_rows_at_batch_indices():
+    ds = make_synthetic(3, 7, 8, seed=5)
+    plan = BatchPlan(batch_size=4, shuffle_seed=2)
+    batches = list(iterate_batches(ds, plan, epoch=2))
+    indices = list(batch_indices(ds, plan, epoch=2))
+    assert [len(i) for i in indices] == [4, 4, 4, 4, 4, 1]
+    np.testing.assert_array_equal(np.sort(np.concatenate(indices)), np.arange(len(ds)))
+    for (imgs, labels), idx in zip(batches, indices, strict=True):
+        assert imgs.tobytes() == ds.images[idx].tobytes()
+        np.testing.assert_array_equal(labels, ds.labels[idx])
 
 
 def test_validation_split_iterates_unshuffled():

@@ -1,6 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
+import cdkd.train
+from cdkd.data import (AugmentConfig, BatchPlan, Dataset, batch_indices, channel_stats,
+                       make_synthetic)
 from cdkd.losses import DistillConfig, cd_loss, channel_weights
 from cdkd.models import NetworkSpec, build_network, forward_with_taps, make_adapter
 from cdkd.optim import EdtParams, LrSchedule, SgdConfig
@@ -15,6 +20,21 @@ SCHED = LrSchedule(milestones=(50,), factor=0.1)
 def strip_wall(csv_text: str):
     """Rows minus the wall_seconds column (the only timing-dependent field)."""
     return [",".join(line.split(",")[:-1]) for line in csv_text.strip().split("\n")]
+
+
+def count_teacher_forwards(monkeypatch):
+    """Record the batch size of each forward_with_taps call _fit makes on a
+    frozen net, the teacher."""
+    calls = []
+    real = cdkd.train.forward_with_taps
+
+    def counting(net, batch):
+        if not any(p.requires_grad for _, p in net.parameters()):
+            calls.append(batch.shape[0])
+        return real(net, batch)
+
+    monkeypatch.setattr(cdkd.train, "forward_with_taps", counting)
+    return calls
 
 
 # -- evaluate -------------------------------------------------------------------
@@ -134,17 +154,72 @@ def test_distill_keeps_teacher_frozen_and_moves_student(tiny_data, tiny_specs, t
     assert moved
 
 
-def test_distill_tap_count_mismatch_rejected(tiny_data, tmp_path):
+def test_distill_tap_count_mismatch_rejected(tiny_data, tmp_path, monkeypatch):
+    """A teacher whose taps, classes or input channels do not match the
+    student is refused before any step, with or without GKD."""
     train, val = tiny_data
-    teacher_spec = NetworkSpec.from_channels([4, 6], num_classes=4)
-    student3 = NetworkSpec.from_channels([4, 6, 8], num_classes=4)
+    six = [make_synthetic(6, 8, 8, seed=7, split=s) for s in ("train", "val")]
+    gray = [Dataset(d.images[:, :1].copy(), d.labels, d.class_count, d.split)
+            for d in tiny_data]
+    cd_only = DistillConfig(alpha=1.0, gkd_enabled=False, n_decay=5)
+    cd_gkd = DistillConfig(alpha=1.0, gkd_enabled=True, n_decay=5)
+    cases = [
+        ("tap count", [4, 6], dict(num_classes=4), tiny_data, [4, 6, 8],
+         DistillConfig(alpha=1.0, n_decay=5)),
+        ("class count", [4, 6], dict(num_classes=6), six, [4, 6], cd_only),
+        ("class count", [4, 6], dict(num_classes=6), six, [4, 6], cd_gkd),
+        ("input channel", [4, 6], dict(num_classes=4, input_channels=1), gray,
+         [4, 6], cd_gkd),
+    ]
+    calls = count_teacher_forwards(monkeypatch)
+    for k, (what, t_channels, t_kw, t_data, s_channels, cfg) in enumerate(cases):
+        tres = train_teacher(NetworkSpec.from_channels(t_channels, **t_kw), *t_data,
+                             SGD, SCHED, epochs=1, seed=0, out_dir=tmp_path / f"t{k}",
+                             batch_size=32)
+        with pytest.raises(ValueError, match=f"{what} mismatch"):
+            distill(tres.final_ckpt, NetworkSpec.from_channels(s_channels, num_classes=4),
+                    train, val, cfg, SGD, SCHED, EdtParams(1.0, 0.5, 5), epochs=1,
+                    seed=0, out_dir=tmp_path / f"s{k}", batch_size=32)
+    assert calls == []
+
+
+def test_distill_refuses_teacher_with_other_normalization(tiny_data, tiny_specs, tmp_path,
+                                                          monkeypatch):
+    train, val = tiny_data
+    teacher_spec, student = tiny_specs
+    means, stds = channel_stats(train)
+    shifted = means.copy()
+    shifted[1] += 0.01
+    wide = stds.copy()
+    wide[2] *= 1.5
+    cfg = DistillConfig(alpha=1.0, lam=0.5, gkd_enabled=True, n_decay=5)
+    edt = EdtParams(1.0, 0.5, 5)
+
+    def run(teacher_ckpt, tag, aug, epochs=1, resume_from=None):
+        return distill(teacher_ckpt, student, train, val, cfg, SGD, SCHED, edt,
+                       epochs=epochs, seed=1, out_dir=tmp_path / tag, batch_size=32,
+                       aug_cfg=aug, resume_from=resume_from)
+
     tres = train_teacher(teacher_spec, train, val, SGD, SCHED, epochs=1, seed=0,
                          out_dir=tmp_path / "t", batch_size=32)
-    cfg = DistillConfig(alpha=1.0, n_decay=5)
-    with pytest.raises(ValueError, match="tap count"):
-        distill(tres.final_ckpt, student3, train, val, cfg, SGD, SCHED,
-                EdtParams(1.0, 0.5, 5), epochs=1, seed=0,
-                out_dir=tmp_path / "s", batch_size=32)
+    name = re.escape(str(tres.final_ckpt))
+    calls = count_teacher_forwards(monkeypatch)
+    with pytest.raises(ValueError, match=f"{name}: teacher normalizes channel 1 with mean"):
+        run(tres.final_ckpt, "a", AugmentConfig(shifted, stds))
+    with pytest.raises(ValueError, match=f"{name}: teacher normalizes channel 2 with std"):
+        run(tres.final_ckpt, "b", AugmentConfig(means, wide))
+    assert calls == []
+
+    # a resumed run normalizes with its checkpoint's stats, whatever aug_cfg says
+    first = run(tres.final_ckpt, "c", None)
+    run(tres.final_ckpt, "d", AugmentConfig(shifted, stds), epochs=2,
+        resume_from=first.final_ckpt)
+    other = train_teacher(teacher_spec, train, val, SGD, SCHED, epochs=1, seed=0,
+                          out_dir=tmp_path / "t2", batch_size=32,
+                          aug_cfg=AugmentConfig(shifted, stds))
+    with pytest.raises(ValueError, match="channel 1 with mean"):
+        run(other.final_ckpt, "e", AugmentConfig(shifted, stds), epochs=2,
+            resume_from=first.final_ckpt)
 
 
 def test_distill_determinism_bitwise(tiny_data, tiny_specs, tmp_path):
@@ -231,3 +306,129 @@ def test_best_checkpoint_tracks_lowest_val_error(tiny_data, tiny_specs, tmp_path
     rows = res.csv_path.read_text().strip().split("\n")[1:]
     val_errs = [float(r.split(",")[9]) for r in rows]
     assert best_state.best_val_top1 == pytest.approx(min(val_errs), abs=1e-9)
+
+
+# -- the teacher-target cache -------------------------------------------------------
+
+CACHE_BATCH = 32
+DISTILL_CFGS = {
+    "cd+gkd": DistillConfig(alpha=1.0, lam=0.5, gkd_enabled=True, n_decay=2),
+    "cd": DistillConfig(alpha=1.0, lam=0.5, gkd_enabled=False, n_decay=2),
+    "kd": DistillConfig(alpha=0.0, gkd_enabled=False, plain_kd_fallback=True, n_decay=2),
+}
+
+
+@pytest.fixture(scope="module")
+def uneven_run(tmp_path_factory, tiny_specs):
+    """100 training rows, three full batches and a short one of 4, and a
+    teacher trained on them, so its normalization stats are the run's."""
+    train = make_synthetic(4, 25, 8, seed=7, split="train")
+    val = make_synthetic(4, 12, 8, seed=7, split="val")
+    tres = train_teacher(tiny_specs[0], train, val, SGD, SCHED, epochs=1, seed=3,
+                         out_dir=tmp_path_factory.mktemp("uneven"), batch_size=CACHE_BATCH)
+    return train, val, tres.final_ckpt
+
+
+def live_teacher_calls(train, shuffle_seed, epochs):
+    """Batch sizes of the teacher forwards a run starting with an empty cache
+    makes: every short batch, and every full batch holding a row that no
+    earlier full batch of the run held."""
+    plan = BatchPlan(CACHE_BATCH, shuffle_seed)
+    held = np.zeros(len(train), dtype=bool)
+    calls = []
+    for epoch in epochs:
+        for idx in batch_indices(train, plan, epoch):
+            full = len(idx) == CACHE_BATCH
+            if not (full and held[idx].all()):
+                calls.append(len(idx))
+            if full:
+                held[idx] = True
+    return calls
+
+
+def run_dir_bytes(res, name):
+    return (res.csv_path.parent / name).read_bytes()
+
+
+@pytest.mark.parametrize("terms", sorted(DISTILL_CFGS))
+def test_teacher_cache_is_bit_identical_to_live_teacher(uneven_run, tiny_specs, tmp_path,
+                                                        monkeypatch, terms):
+    train, val, teacher_ckpt = uneven_run
+    _, student = tiny_specs
+    calls = count_teacher_forwards(monkeypatch)
+
+    def run(tag):
+        calls.clear()
+        return distill(teacher_ckpt, student, train, val, DISTILL_CFGS[terms], SGD, SCHED,
+                       EdtParams(1.0, 0.5, 2), epochs=3, seed=4, out_dir=tmp_path / tag,
+                       batch_size=CACHE_BATCH)
+
+    cached = run("cached")
+    assert calls == live_teacher_calls(train, cached.state.shuffle_seed, range(3))
+    assert len(calls) < 3 * 4
+    monkeypatch.setattr(AugmentConfig, "randomizes", property(lambda self: True))
+    live = run("live")
+    assert calls == [32, 32, 32, 4] * 3
+    assert strip_wall(cached.csv_path.read_text()) == strip_wall(live.csv_path.read_text())
+    for name in ("final.ckpt", "best.ckpt"):
+        assert run_dir_bytes(cached, name) == run_dir_bytes(live, name), name
+
+
+@pytest.mark.parametrize("aug, cached", [
+    (dict(), True),
+    (dict(pad=2, random_crop=False), True),
+    (dict(hflip_prob=0.5), False),
+    (dict(pad=2, random_crop=True), False),
+])
+def test_teacher_runs_live_only_where_the_cache_cannot_serve(uneven_run, tiny_specs,
+                                                             tmp_path, monkeypatch, aug,
+                                                             cached):
+    train, val, teacher_ckpt = uneven_run
+    _, student = tiny_specs
+    calls = count_teacher_forwards(monkeypatch)
+    res = distill(teacher_ckpt, student, train, val, DISTILL_CFGS["cd+gkd"], SGD, SCHED,
+                  EdtParams(1.0, 0.5, 2), epochs=3, seed=4, out_dir=tmp_path,
+                  batch_size=CACHE_BATCH, aug_cfg=AugmentConfig(*channel_stats(train), **aug))
+    if cached:
+        # epoch 0 in full, one short batch per epoch, and the later full
+        # batches that hold a row epoch 0 saw only in its short batch
+        expected = live_teacher_calls(train, res.state.shuffle_seed, range(3))
+        assert expected[:4] == [32, 32, 32, 4] and expected.count(4) == 3
+    else:
+        expected = [32, 32, 32, 4] * 3
+    assert calls == expected
+
+
+def test_teacher_runs_once_per_row_on_an_even_split(tiny_data, tiny_specs, tmp_path,
+                                                   monkeypatch):
+    train, val = tiny_data                 # 96 rows: three full batches of 32
+    teacher_spec, student = tiny_specs
+    tres = train_teacher(teacher_spec, train, val, SGD, SCHED, epochs=1, seed=2,
+                         out_dir=tmp_path / "t", batch_size=CACHE_BATCH)
+    calls = count_teacher_forwards(monkeypatch)
+    distill(tres.final_ckpt, student, train, val, DISTILL_CFGS["cd+gkd"], SGD, SCHED,
+            EdtParams(1.0, 0.5, 2), epochs=3, seed=4, out_dir=tmp_path / "s",
+            batch_size=CACHE_BATCH)
+    assert calls == [32, 32, 32]
+
+
+def test_distill_resumed_from_last_ckpt_matches_uninterrupted(uneven_run, tiny_specs,
+                                                              tmp_path, monkeypatch):
+    train, val, teacher_ckpt = uneven_run
+    _, student = tiny_specs
+
+    def run(out_dir, epochs, resume_from=None):
+        return distill(teacher_ckpt, student, train, val, DISTILL_CFGS["cd+gkd"], SGD,
+                       SCHED, EdtParams(1.0, 0.5, 2), epochs=epochs, seed=5,
+                       out_dir=out_dir, batch_size=CACHE_BATCH, resume_from=resume_from)
+
+    full = run(tmp_path / "full", 4)
+    run(tmp_path / "run", 2)
+    calls = count_teacher_forwards(monkeypatch)
+    resumed = run(tmp_path / "run", 4, resume_from=tmp_path / "run" / "last.ckpt")
+    # the cache starts empty: the first resumed epoch runs every batch live
+    assert calls[:4] == [32, 32, 32, 4]
+    assert calls == live_teacher_calls(train, resumed.state.shuffle_seed, range(2, 4))
+    assert strip_wall(resumed.csv_path.read_text()) == strip_wall(full.csv_path.read_text())
+    for name in ("final.ckpt", "best.ckpt"):
+        assert run_dir_bytes(resumed, name) == run_dir_bytes(full, name), name
