@@ -215,11 +215,11 @@ def composite_grad_reports(seed: int = 0) -> List[OracleReport]:
     def zero_all():
         for _, p in student.parameters():
             p.zero_grad()
-        adapter.kernel.zero_grad()
+        adapter.zero_grad()
 
     targets = [("grad/composite/" + n, student.params[n])
                for n in ("s0b0.conv1", "fc.w")]
-    targets.append(("grad/composite/adapter0.w", adapter.kernel))
+    targets.append(("grad/composite/adapter0.w", adapter))
 
     reports = []
     for case_id, p in targets:

@@ -60,10 +60,6 @@ class DistillConfig:
         if self.gkd_enabled and self.plain_kd_fallback:
             raise ValueError("gkd_enabled and plain_kd_fallback are mutually exclusive")
 
-    @property
-    def cd_enabled(self) -> bool:
-        return self.alpha > 0.0
-
 
 def channel_weights(feature: Tensor) -> Tensor:
     """Spatial mean of each channel, [n,c,h,w] -> [n,c]; differentiable when
@@ -161,22 +157,20 @@ def ce_loss(student_logits: Tensor, labels) -> Tensor:
 
 
 def total_loss(cd_terms: Sequence[Tensor], gkd: Optional[Tensor], ce: Tensor,
-               edt_weight: float, cd_enabled: bool = True) -> LossBreakdown:
+               edt_weight: float) -> LossBreakdown:
     """Combine the per-tap CD terms (averaged), GKD/KD, and CE into Eq-style
     total = edt_weight * cd + gkd + ce.
 
-    Pass gkd=None when no teacher-logit term is active; pass cd_enabled=False
-    to drop the channel term entirely (its gradient then never exists, rather
-    than being multiplied to zero).
+    Pass gkd=None when no teacher-logit term is active, and no cd_terms when
+    channel distillation is off (its gradient then never exists, rather than
+    being multiplied to zero).
     """
     if edt_weight < 0:
         raise ValueError(f"edt_weight must be non-negative, got {edt_weight}")
-    if cd_enabled and not cd_terms:
-        raise ValueError("total_loss: no cd terms but channel distillation is enabled")
     # the per-term kernels run in float32; this final scalar combination is
     # float64 so total == edt_weight*cd + gkd + ce holds far inside 1e-6
     terms = []
-    if cd_enabled:
+    if cd_terms:
         cd = cd_terms[0].astype(np.float64)
         for t in cd_terms[1:]:
             cd = cd + t.astype(np.float64)

@@ -108,8 +108,6 @@ def spec_from_fields(fields: Mapping[str, str]) -> NetworkSpec:
 
 @dataclass
 class _BlockShape:
-    in_ch: int
-    out_ch: int
     stride: int
     name: str
     proj: Optional[str]     # projection param name, None for identity shortcut
@@ -179,7 +177,7 @@ def build_network(spec: NetworkSpec, seed: int) -> Network:
                     proj = f"{name}.proj"
                     params[proj] = Tensor(
                         _init_conv(rng, out_ch, in_ch, 1, 1), requires_grad=True)
-            stage_blocks.append(_BlockShape(in_ch, out_ch, stride, name, proj))
+            stage_blocks.append(_BlockShape(stride, name, proj))
             in_ch = out_ch
         blocks.append(stage_blocks)
     bound = 1.0 / np.sqrt(in_ch)
@@ -253,33 +251,16 @@ def freeze(net: Network) -> Network:
     return net
 
 
-@dataclass
-class ChannelAdapter:
-    """1x1 conv lifting a student tap to the teacher's channel count.
-
-    Identity when the widths already agree; otherwise its kernel trains
-    jointly with the student.
-    """
-    in_channels: int
-    out_channels: int
-    identity_flag: bool
-    kernel: Optional[Tensor] = None
-
-    def parameters(self):
-        return [] if self.identity_flag else [self.kernel]
-
-
-def make_adapter(c_student: int, c_teacher: int, rng: np.random.Generator) -> ChannelAdapter:
+def make_adapter(c_student: int, c_teacher: int,
+                 rng: np.random.Generator) -> Optional[Tensor]:
+    """The trainable [c_teacher, c_student, 1, 1] kernel lifting a student tap
+    to the teacher's width, or None (identity) when the widths agree."""
     if c_student == c_teacher:
-        return ChannelAdapter(c_student, c_teacher, identity_flag=True)
-    kernel = Tensor(_init_conv(rng, c_teacher, c_student, 1, 1), requires_grad=True)
-    return ChannelAdapter(c_student, c_teacher, identity_flag=False, kernel=kernel)
+        return None
+    return Tensor(_init_conv(rng, c_teacher, c_student, 1, 1), requires_grad=True)
 
 
-def adapt_channels(adapter: ChannelAdapter, student_tap: Tensor) -> Tensor:
-    if student_tap.shape[1] != adapter.in_channels:
-        raise ValueError(f"adapter expects {adapter.in_channels} channels, "
-                         f"tap has {student_tap.shape[1]}")
-    if adapter.identity_flag:
+def adapt_channels(kernel: Optional[Tensor], student_tap: Tensor) -> Tensor:
+    if kernel is None:
         return student_tap
-    return conv2d(student_tap, adapter.kernel, stride=1, padding=0)
+    return conv2d(student_tap, kernel, stride=1, padding=0)

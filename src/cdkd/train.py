@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -26,9 +26,8 @@ from .data import (AugmentConfig, BatchPlan, Dataset, augment_batch, batch_indic
 from .kvtext import emit_sections, parse_sections
 from .losses import (DistillConfig, LossBreakdown, cd_loss, ce_loss, channel_weights,
                      gkd_loss, kd_loss, teacher_correct_mask, total_loss)
-from .models import (ChannelAdapter, Network, NetworkSpec, adapt_channels, build_network,
-                     forward_with_taps, freeze, make_adapter, spec_fields,
-                     spec_from_fields)
+from .models import (Network, NetworkSpec, adapt_channels, build_network, forward_with_taps,
+                     freeze, make_adapter, spec_fields, spec_from_fields)
 from .optim import EdtParams, LrSchedule, SgdConfig, SgdOptimizer, edt_weight, lr_at_epoch
 from .seeds import derive, derive_epoch
 from .tensor import Tensor, backward, no_grad
@@ -102,38 +101,36 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
+def _cell(v) -> str:
+    return str(v) if isinstance(v, int) else _fmt(v)
+
+
 def _floats_csv(values) -> str:
     return ",".join(f"{float(v):.9g}" for v in values)
 
 
+def _adapter_lines(kernels: Optional[List[Optional[Tensor]]]) -> Optional[List[str]]:
+    """Each adapter's header line: identity, or c_in->c_out from its kernel."""
+    if kernels is None:
+        return None
+    return ["identity" if k is None else f"{k.shape[1]}->{k.shape[0]}" for k in kernels]
+
+
 def _save_run_checkpoint(path: Path, spec: NetworkSpec, net: Network,
-                         adapters: Optional[List[ChannelAdapter]],
+                         adapters: Optional[List[Optional[Tensor]]],
                          opt: SgdOptimizer, state: TrainState,
                          means: np.ndarray, stds: np.ndarray) -> None:
     sections = {"arch.model": spec_fields(spec)}
+    tensors: Dict[str, np.ndarray] = {name: p.data for name, p in net.parameters()}
     if adapters is not None:
         kvs = {"count": str(len(adapters))}
-        for i, a in enumerate(adapters):
-            kvs[f"a{i}"] = ("identity" if a.identity_flag
-                            else f"{a.in_channels}->{a.out_channels}")
+        for i, (k, line) in enumerate(zip(adapters, _adapter_lines(adapters))):
+            kvs[f"a{i}"] = line
+            if k is not None:
+                tensors[f"adapter{i}.w"] = k.data
         sections["adapters"] = kvs
     sections["normalize"] = {"means": _floats_csv(means), "stds": _floats_csv(stds)}
-    sections["state"] = {
-        "epoch": str(state.epoch),
-        "global_step": str(state.global_step),
-        "model_seed": str(state.model_seed),
-        "shuffle_seed": str(state.shuffle_seed),
-        "augment_seed": str(state.augment_seed),
-        "adapter_seed": str(state.adapter_seed),
-        "best_val_top1": _fmt(state.best_val_top1),
-    }
-    tensors: Dict[str, np.ndarray] = {}
-    for name, p in net.parameters():
-        tensors[name] = p.data
-    if adapters is not None:
-        for i, a in enumerate(adapters):
-            if not a.identity_flag:
-                tensors[f"adapter{i}.w"] = a.kernel.data
+    sections["state"] = {f.name: _cell(getattr(state, f.name)) for f in fields(TrainState)}
     tensors.update(opt.state_tensors())
     save_checkpoint(path, emit_sections(sections), tensors)
 
@@ -141,8 +138,10 @@ def _save_run_checkpoint(path: Path, spec: NetworkSpec, net: Network,
 def load_model_checkpoint(path):
     """Rebuild (net, adapters, state, normalization stats, raw tensors).
 
-    A header or tensor table that does not describe a whole run raises
-    CheckpointError naming the file and what is missing or malformed.
+    ``adapters`` is None for a run without CD, else one 1x1 kernel Tensor
+    per tap, None where the tap is identity. A header or tensor table that
+    does not describe a whole run raises CheckpointError naming the file
+    and what is missing or malformed.
     """
     header, tensors = load_checkpoint(path)
     secs = parse_sections(header, str(path), CheckpointError)
@@ -154,26 +153,17 @@ def load_model_checkpoint(path):
         if "adapters" in secs:
             adapters = []
             for i in range(int(secs["adapters"]["count"])):
-                desc = secs["adapters"][f"a{i}"]
-                if desc == "identity":
-                    c = spec.tap_channels[i]
-                    adapters.append(ChannelAdapter(c, c, identity_flag=True))
-                else:
-                    c_in, c_out = (int(x) for x in desc.split("->"))
-                    w = tensors[f"adapter{i}.w"]
-                    if c_in != spec.tap_channels[i] or w.shape != (c_out, c_in, 1, 1):
+                desc, c = secs["adapters"][f"a{i}"], spec.tap_channels[i]
+                kernel = None
+                if desc != "identity":
+                    kernel = Tensor(tensors[f"adapter{i}.w"], requires_grad=True)
+                    if kernel.shape[1:] != (c, 1, 1) or _adapter_lines([kernel]) != [desc]:
                         raise CheckpointError(
-                            f"{path}: adapter{i} is {desc} on a {spec.tap_channels[i]}-channel"
-                            f" tap, but adapter{i}.w has shape {w.shape}")
-                    adapters.append(ChannelAdapter(c_in, c_out, identity_flag=False,
-                                                   kernel=Tensor(w, requires_grad=True)))
+                            f"{path}: adapter{i} is {desc} on a {c}-channel"
+                            f" tap, but adapter{i}.w has shape {kernel.shape}")
+                adapters.append(kernel)
         st = secs["state"]
-        state = TrainState(epoch=int(st["epoch"]), global_step=int(st["global_step"]),
-                           model_seed=int(st["model_seed"]),
-                           shuffle_seed=int(st["shuffle_seed"]),
-                           augment_seed=int(st["augment_seed"]),
-                           adapter_seed=int(st["adapter_seed"]),
-                           best_val_top1=float(st["best_val_top1"]))
+        state = TrainState(**{f.name: type(f.default)(st[f.name]) for f in fields(TrainState)})
         norm = secs["normalize"]
         means = np.array([float(x) for x in norm["means"].split(",")], dtype=np.float32)
         stds = np.array([float(x) for x in norm["stds"].split(",")], dtype=np.float32)
@@ -184,14 +174,24 @@ def load_model_checkpoint(path):
     return net, adapters, state, (means, stds), tensors
 
 
+def _check_same_stats(path, whose: str, theirs, ours) -> None:
+    """Refuse normalization stats (means, stds) that differ from the run's."""
+    for what, t_val, s_val in zip(("mean", "std"), theirs, ours):
+        if t_val.shape != s_val.shape:
+            raise ValueError(f"{path}: {whose} has {t_val.size} channel {what}s, "
+                             f"this run {s_val.size}")
+        bad = np.flatnonzero(t_val != s_val)
+        if bad.size:
+            c = bad[0]
+            raise ValueError(f"{path}: {whose} normalizes channel {c} with {what} "
+                             f"{t_val[c]:.9g}, this run with {s_val[c]:.9g}")
+
+
 # -- the shared fit loop ------------------------------------------------------
 
 
 def _csv_row(values) -> str:
-    cells = []
-    for v in values:
-        cells.append(str(v) if isinstance(v, int) else _fmt(v))
-    return ",".join(cells)
+    return ",".join(_cell(v) for v in values)
 
 
 class _TeacherTargets:
@@ -219,27 +219,26 @@ class _TeacherTargets:
 
 def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConfig,
          sched: LrSchedule, epochs: int, seed: int, out_dir,
+         distill_cfg: DistillConfig,
          batch_size: int = 128,
          aug_cfg: Optional[AugmentConfig] = None,
          teacher_ckpt=None,
-         distill_cfg: Optional[DistillConfig] = None,
          edt: Optional[EdtParams] = None,
          resume_from=None) -> TrainResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if aug_cfg is None:
-        means, stds = channel_stats(train_ds)
-        aug_cfg = AugmentConfig(channel_means=means, channel_stds=stds)
+        aug_cfg = AugmentConfig(*channel_stats(train_ds))
     means, stds = aug_cfg.channel_means, aug_cfg.channel_stds
 
-    cd_on = distill_cfg is not None and distill_cfg.cd_enabled
-    gkd_on = distill_cfg is not None and distill_cfg.gkd_enabled
-    kd_on = distill_cfg is not None and distill_cfg.plain_kd_fallback
+    cd_on = distill_cfg.alpha > 0.0
+    gkd_on, kd_on = distill_cfg.gkd_enabled, distill_cfg.plain_kd_fallback
     need_teacher = cd_on or gkd_on or kd_on
     if need_teacher and teacher_ckpt is None:
         raise ValueError("distillation terms active but no teacher provided")
 
     teacher = None
+    need_adapters = None    # the adapter header lines this run trains with
     if teacher_ckpt is not None:
         teacher, _, _, t_norm, _ = load_model_checkpoint(teacher_ckpt)
         freeze(teacher)
@@ -250,44 +249,39 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
                                     spec.input_channels)):
             if t_val != s_val:
                 raise ValueError(f"{what} mismatch: teacher {t_val}, student {s_val}")
+        if cd_on:
+            if not spec.tap_count:
+                raise ValueError("channel distillation is on, but the nets have no "
+                                 "downsampling stage to tap")
+            need_adapters = ["identity" if cs == ct else f"{cs}->{ct}"
+                             for cs, ct in zip(spec.tap_channels, t_spec.tap_channels)]
+        # the teacher must see inputs normalized as in its own training run
+        _check_same_stats(teacher_ckpt, "teacher", t_norm, (means, stds))
 
-    adapters: Optional[List[ChannelAdapter]] = None
     if resume_from is not None:
-        net, adapters, state, (means, stds), tensors = load_model_checkpoint(resume_from)
+        net, adapters, state, ckpt_norm, tensors = load_model_checkpoint(resume_from)
         if net.spec != spec:
             raise ValueError("checkpoint architecture does not match requested spec")
-        # resumed runs must normalize exactly as the original did
-        aug_cfg = AugmentConfig(channel_means=means, channel_stds=stds,
-                                pad=aug_cfg.pad, random_crop=aug_cfg.random_crop,
-                                hflip_prob=aug_cfg.hflip_prob)
+        # a resumed run must normalize and distill exactly as the original did
+        _check_same_stats(resume_from, "checkpoint", ckpt_norm, (means, stds))
+        if _adapter_lines(adapters) != need_adapters:
+            raise ValueError(f"{resume_from}: checkpoint has adapters "
+                             f"{_adapter_lines(adapters)}, this run needs {need_adapters}")
     else:
         state = TrainState(model_seed=derive(seed, "model"),
                            shuffle_seed=derive(seed, "shuffle"),
                            augment_seed=derive(seed, "augment"),
                            adapter_seed=derive(seed, "adapters"))
         net = build_network(spec, seed=state.model_seed)
+        adapters = None
         if cd_on:
             arng = np.random.default_rng(state.adapter_seed)
             adapters = [make_adapter(cs, ct, arng)
                         for cs, ct in zip(spec.tap_channels, teacher.spec.tap_channels)]
 
-    if teacher is not None:
-        # the teacher must see inputs normalized as in its own training run
-        for what, t_val, s_val in (("mean", t_norm[0], means), ("std", t_norm[1], stds)):
-            if t_val.shape != s_val.shape:
-                raise ValueError(f"{teacher_ckpt}: teacher has {t_val.size} channel "
-                                 f"{what}s, this run {s_val.size}")
-            bad = np.flatnonzero(t_val != s_val)
-            if bad.size:
-                c = bad[0]
-                raise ValueError(f"{teacher_ckpt}: teacher normalizes channel {c} with "
-                                 f"{what} {t_val[c]:.9g}, this run with {s_val[c]:.9g}")
-
     named = net.trainable_parameters()
     if adapters is not None:
-        for i, a in enumerate(adapters):
-            if not a.identity_flag:
-                named.append((f"adapter{i}.w", a.kernel))
+        named += [(f"adapter{i}.w", k) for i, k in enumerate(adapters) if k is not None]
     opt = SgdOptimizer(named, sgd_cfg)
     if resume_from is not None:
         opt.load_state_tensors(tensors)
@@ -300,7 +294,6 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
     cache = (_TeacherTargets(len(train_ds))
              if need_teacher and not aug_cfg.randomizes else None)
     t_hw = None     # spatial shape of each teacher tap, from a live forward
-    t_cfg = distill_cfg if distill_cfg is not None else DistillConfig()
     csv_path = out_dir / "metrics.csv"
     csv_lines = [",".join(CSV_COLUMNS)]
     if resume_from is not None and csv_path.exists():
@@ -312,11 +305,14 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
                           and r[0].isdigit() and int(r[0]) < state.epoch]
     last_val = Metrics(float("nan"), float("nan"))
 
+    def save(name: str) -> None:
+        _save_run_checkpoint(out_dir / name, spec, net, adapters, opt, state, means, stds)
+
     for epoch in range(state.epoch, epochs):
         t_epoch = time.perf_counter()
         lr = lr_at_epoch(sched, sgd_cfg.lr0, epoch)
         # the decay weight only ever multiplies the CD term; log what is applied
-        w_edt = edt_weight(edt, epoch) if (edt is not None and cd_on) else 0.0
+        w_edt = edt_weight(edt, epoch) if cd_on else 0.0
         aug_rng = np.random.default_rng(derive_epoch(state.augment_seed, epoch))
         sums = np.zeros(4)    # total, cd, gkd, ce, sample-weighted
         n_seen = 0
@@ -352,14 +348,14 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
             cnt = 0
             if gkd_on:
                 gkd_term, cnt = gkd_loss(s_logits, t_logits, labels,
-                                         t_cfg.temperature, t_cfg.kd_t_squared)
+                                         distill_cfg.temperature, distill_cfg.kd_t_squared)
             elif kd_on:
-                gkd_term = kd_loss(s_logits, t_logits, t_cfg.temperature,
-                                   t_cfg.kd_t_squared)
+                gkd_term = kd_loss(s_logits, t_logits, distill_cfg.temperature,
+                                   distill_cfg.kd_t_squared)
                 cnt = int(teacher_correct_mask(t_logits, labels).sum())
             ce_term = ce_loss(s_logits, labels)
 
-            bd = total_loss(cd_terms, gkd_term, ce_term, w_edt, cd_enabled=cd_on)
+            bd = total_loss(cd_terms, gkd_term, ce_term, w_edt)
             if not np.isfinite(bd.total):
                 _dump_diagnostic(out_dir, state, epoch, lr, bd)
                 raise NonFiniteLossError(
@@ -390,18 +386,14 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
         csv_path.write_text("\n".join(csv_lines) + "\n")
         if last_val.top1_error < state.best_val_top1:
             state.best_val_top1 = last_val.top1_error
-            _save_run_checkpoint(out_dir / "best.ckpt", spec, net, adapters, opt,
-                                 state, means, stds)
-        _save_run_checkpoint(out_dir / "last.ckpt", spec, net, adapters, opt,
-                             state, means, stds)
+            save("best.ckpt")
+        save("last.ckpt")
 
     if teacher is not None and teacher.checksum() != teacher_crc:
         raise RuntimeError("frozen teacher parameters changed during the run")
-    _save_run_checkpoint(out_dir / "final.ckpt", spec, net, adapters, opt,
-                         state, means, stds)
+    save("final.ckpt")
     if not (out_dir / "best.ckpt").exists():
-        _save_run_checkpoint(out_dir / "best.ckpt", spec, net, adapters, opt,
-                             state, means, stds)
+        save("best.ckpt")
     return TrainResult(final_ckpt=out_dir / "final.ckpt",
                        best_ckpt=out_dir / "best.ckpt",
                        csv_path=csv_path, state=state,
@@ -425,7 +417,8 @@ def train_teacher(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset,
     """Plain cross-entropy training; produces the pretrained weights that
     distillation later freezes."""
     return _fit(spec, train_ds, val_ds, sgd_cfg, sched, epochs, seed, out_dir,
-                batch_size=batch_size, aug_cfg=aug_cfg, resume_from=resume_from)
+                DistillConfig(alpha=0.0, gkd_enabled=False), batch_size=batch_size,
+                aug_cfg=aug_cfg, resume_from=resume_from)
 
 
 def distill(teacher_ckpt, student_spec: NetworkSpec, train_ds: Dataset,
@@ -436,12 +429,13 @@ def distill(teacher_ckpt, student_spec: NetworkSpec, train_ds: Dataset,
     """Teacher-supervised student training with CD, GKD (or plain KD), and EDT.
 
     The teacher is loaded frozen; only student and adapter parameters enter
-    the optimizer. A teacher whose tap count, class count, input channels or
-    normalization stats differ from the run's is refused with ValueError
-    before the first step. With alpha=0 and both logit terms disabled this
-    reduces, bit for bit, to plain cross-entropy training of the student.
+    the optimizer. Refused with ValueError before the first step: a teacher
+    whose tap count, class count, input channels or normalization stats
+    differ from the run's, CD on nets without taps, and a resume checkpoint
+    whose stats or adapters differ from the run's. With alpha=0 and both
+    logit terms disabled this reduces, bit for bit, to plain cross-entropy
+    training of the student.
     """
     return _fit(student_spec, train_ds, val_ds, sgd_cfg, sched, epochs, seed,
-                out_dir, batch_size=batch_size, aug_cfg=aug_cfg,
-                teacher_ckpt=teacher_ckpt, distill_cfg=distill_cfg, edt=edt,
-                resume_from=resume_from)
+                out_dir, distill_cfg, batch_size=batch_size, aug_cfg=aug_cfg,
+                teacher_ckpt=teacher_ckpt, edt=edt, resume_from=resume_from)

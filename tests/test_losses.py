@@ -252,14 +252,9 @@ def test_total_decomposition_identity():
         assert abs(bd.total - (bd.edt_weight * bd.cd + bd.gkd + bd.ce)) <= 1e-6
 
 
-def test_total_empty_cd_terms_rejected():
-    with pytest.raises(ValueError, match="cd terms"):
-        total_loss([], _scalar(0.1), _scalar(1.0), edt_weight=1.0)
-
-
 def test_total_without_cd_or_gkd_reuses_ce_node():
     ce = _scalar(2.0)
-    bd = total_loss([], None, ce, edt_weight=0.0, cd_enabled=False)
+    bd = total_loss([], None, ce, edt_weight=0.0)
     assert bd.objective is ce
     assert bd.cd == 0.0 and bd.gkd == 0.0
 

@@ -7,7 +7,8 @@ import cdkd.train
 from cdkd.data import (AugmentConfig, BatchPlan, Dataset, batch_indices, channel_stats,
                        make_synthetic)
 from cdkd.losses import DistillConfig, cd_loss, channel_weights
-from cdkd.models import NetworkSpec, build_network, forward_with_taps, make_adapter
+from cdkd.models import (NetworkSpec, StageSpec, build_network, forward_with_taps,
+                         make_adapter)
 from cdkd.optim import EdtParams, LrSchedule, SgdConfig
 from cdkd.tensor import Tensor
 from cdkd.train import (CSV_COLUMNS, NonFiniteLossError, distill, evaluate,
@@ -132,7 +133,7 @@ def test_identical_teacher_student_cd_is_zero_at_step_zero(tiny_data, tiny_specs
     adapters = [make_adapter(c, c, np.random.default_rng(0))
                 for c in teacher_spec.tap_channels]
     for a, ta, tb in zip(adapters, taps_a, taps_b):
-        assert a.identity_flag
+        assert a is None
         assert cd_loss(channel_weights(ta), channel_weights(tb)).item() == 0.0
 
 
@@ -156,30 +157,70 @@ def test_distill_keeps_teacher_frozen_and_moves_student(tiny_data, tiny_specs, t
 
 def test_distill_tap_count_mismatch_rejected(tiny_data, tmp_path, monkeypatch):
     """A teacher whose taps, classes or input channels do not match the
-    student is refused before any step, with or without GKD."""
+    student, or CD on nets with no taps, is refused before any step, with or
+    without GKD."""
     train, val = tiny_data
     six = [make_synthetic(6, 8, 8, seed=7, split=s) for s in ("train", "val")]
     gray = [Dataset(d.images[:, :1].copy(), d.labels, d.class_count, d.split)
             for d in tiny_data]
     cd_only = DistillConfig(alpha=1.0, gkd_enabled=False, n_decay=5)
     cd_gkd = DistillConfig(alpha=1.0, gkd_enabled=True, n_decay=5)
+    four = NetworkSpec.from_channels([4, 6], num_classes=4)
+    flat = NetworkSpec(stages=(StageSpec(1, 4, False), StageSpec(1, 6, False)),
+                       num_classes=4)
     cases = [
-        ("tap count", [4, 6], dict(num_classes=4), tiny_data, [4, 6, 8],
+        ("tap count mismatch", four, tiny_data,
+         NetworkSpec.from_channels([4, 6, 8], num_classes=4),
          DistillConfig(alpha=1.0, n_decay=5)),
-        ("class count", [4, 6], dict(num_classes=6), six, [4, 6], cd_only),
-        ("class count", [4, 6], dict(num_classes=6), six, [4, 6], cd_gkd),
-        ("input channel", [4, 6], dict(num_classes=4, input_channels=1), gray,
-         [4, 6], cd_gkd),
+        ("class count mismatch", NetworkSpec.from_channels([4, 6], num_classes=6), six,
+         four, cd_only),
+        ("class count mismatch", NetworkSpec.from_channels([4, 6], num_classes=6), six,
+         four, cd_gkd),
+        ("input channel mismatch",
+         NetworkSpec.from_channels([4, 6], num_classes=4, input_channels=1), gray,
+         four, cd_gkd),
+        ("no downsampling stage to tap", flat, tiny_data, flat, cd_gkd),
     ]
     calls = count_teacher_forwards(monkeypatch)
-    for k, (what, t_channels, t_kw, t_data, s_channels, cfg) in enumerate(cases):
-        tres = train_teacher(NetworkSpec.from_channels(t_channels, **t_kw), *t_data,
-                             SGD, SCHED, epochs=1, seed=0, out_dir=tmp_path / f"t{k}",
-                             batch_size=32)
-        with pytest.raises(ValueError, match=f"{what} mismatch"):
-            distill(tres.final_ckpt, NetworkSpec.from_channels(s_channels, num_classes=4),
-                    train, val, cfg, SGD, SCHED, EdtParams(1.0, 0.5, 5), epochs=1,
-                    seed=0, out_dir=tmp_path / f"s{k}", batch_size=32)
+    for k, (what, t_spec, t_data, s_spec, cfg) in enumerate(cases):
+        tres = train_teacher(t_spec, *t_data, SGD, SCHED, epochs=1, seed=0,
+                             out_dir=tmp_path / f"t{k}", batch_size=32)
+        with pytest.raises(ValueError, match=what):
+            distill(tres.final_ckpt, s_spec, train, val, cfg, SGD, SCHED,
+                    EdtParams(1.0, 0.5, 5), epochs=1, seed=0, out_dir=tmp_path / f"s{k}",
+                    batch_size=32)
+    assert calls == []
+
+
+def test_resume_refuses_adapters_that_do_not_fit_the_run(tiny_data, tiny_specs, tmp_path,
+                                                         monkeypatch):
+    """A checkpoint whose adapters are not the ones the run's taps and CD
+    switch need is refused, naming it, before any teacher forward."""
+    train, val = tiny_data
+    teacher_spec, student = tiny_specs
+    cd = DistillConfig(alpha=1.0, lam=0.5, gkd_enabled=True, n_decay=5)
+    gkd = DistillConfig(alpha=0.0, gkd_enabled=True, n_decay=5)
+    edt = EdtParams(1.0, 0.5, 5)
+    teachers = [train_teacher(spec, train, val, SGD, SCHED, epochs=1, seed=0,
+                              out_dir=tmp_path / f"t{k}", batch_size=32).final_ckpt
+                for k, spec in enumerate((teacher_spec,
+                                          NetworkSpec.from_channels([6, 8], num_classes=4)))]
+
+    def run(teacher_ckpt, cfg, tag, resume_from=None):
+        return distill(teacher_ckpt, student, train, val, cfg, SGD, SCHED, edt,
+                       epochs=2, seed=1, out_dir=tmp_path / tag, batch_size=32,
+                       resume_from=resume_from).final_ckpt
+
+    scratch = train_teacher(student, train, val, SGD, SCHED, epochs=1, seed=1,
+                            out_dir=tmp_path / "ce", batch_size=32).final_ckpt
+    with_cd = run(teachers[0], cd, "cd")
+    calls = count_teacher_forwards(monkeypatch)
+    for tag, ckpt, teacher_ckpt, cfg in (("ce-as-cd", scratch, teachers[0], cd),
+                                         ("other-taps", with_cd, teachers[1], cd),
+                                         ("cd-off", with_cd, teachers[0], gkd)):
+        with pytest.raises(ValueError, match=f"{re.escape(str(ckpt))}: checkpoint has "
+                                             f"adapters"):
+            run(teacher_ckpt, cfg, tag, resume_from=ckpt)
     assert calls == []
 
 
@@ -210,16 +251,21 @@ def test_distill_refuses_teacher_with_other_normalization(tiny_data, tiny_specs,
         run(tres.final_ckpt, "b", AugmentConfig(means, wide))
     assert calls == []
 
-    # a resumed run normalizes with its checkpoint's stats, whatever aug_cfg says
+    # a resume refuses stats that differ from its checkpoint's, even when the
+    # teacher's agree with them
     first = run(tres.final_ckpt, "c", None)
-    run(tres.final_ckpt, "d", AugmentConfig(shifted, stds), epochs=2,
-        resume_from=first.final_ckpt)
     other = train_teacher(teacher_spec, train, val, SGD, SCHED, epochs=1, seed=0,
                           out_dir=tmp_path / "t2", batch_size=32,
                           aug_cfg=AugmentConfig(shifted, stds))
-    with pytest.raises(ValueError, match="channel 1 with mean"):
-        run(other.final_ckpt, "e", AugmentConfig(shifted, stds), epochs=2,
+    calls.clear()
+    first_name = re.escape(str(first.final_ckpt))
+    with pytest.raises(ValueError,
+                       match=f"{first_name}: checkpoint normalizes channel 1 with mean"):
+        run(other.final_ckpt, "d", AugmentConfig(shifted, stds), epochs=2,
             resume_from=first.final_ckpt)
+    with pytest.raises(ValueError, match="teacher normalizes channel 1 with mean"):
+        run(other.final_ckpt, "e", None, epochs=2, resume_from=first.final_ckpt)
+    assert calls == []
 
 
 def test_distill_determinism_bitwise(tiny_data, tiny_specs, tmp_path):
