@@ -90,7 +90,7 @@ def _cmd_distill(args) -> int:
     if cfg.distill is None:
         raise ConfigError("missing [distill] section")
     result = distill(args.teacher_ckpt, spec, train_ds, val_ds, cfg.distill,
-                     cfg.optim, cfg.schedule, cfg.edt_params(), cfg.run.epochs,
+                     cfg.optim, cfg.schedule, cfg.edt, cfg.run.epochs,
                      cfg.run.seed, out_dir, batch_size=cfg.data.batch_size,
                      aug_cfg=aug, resume_from=args.resume)
     print(f"student distilled: val top-1 error {result.val_top1:.2f}%, "
@@ -138,7 +138,7 @@ def main(argv=None) -> int:
                 "eval": _cmd_eval, "gradcheck": _cmd_gradcheck, "plot": _cmd_plot}
     try:
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (ConfigError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,20 +1,22 @@
-"""Run configuration: the schema of the ``[section]`` / ``key = value``
-grammar (see kvtext), strict validation, and two bundled hyperparameter
-presets.
+"""Run configuration: the ``[section]`` / ``key = value`` grammar (see
+kvtext) bound to the section dataclasses, strict validation, and two
+bundled hyperparameter presets.
 
-Unknown sections or keys are rejected with file/line diagnostics, every
-value is type-checked on parse, and the parsed snapshot re-serializes
-canonically for provenance copies.
+Each section's keys, types, defaults and required keys are its dataclass's
+fields; the dataclass's own checks are the value rules. Unknown sections or
+keys are rejected with file/line diagnostics, every value is type-checked on
+parse, and the parsed snapshot re-serializes canonically for provenance
+copies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple, get_type_hints
 
 from .data import Dataset, load_cifar_binary, make_synthetic
-from .kvtext import emit_sections, parse_sections
+from .kvtext import emit_sections, format_value, parse_sections
 from .losses import DistillConfig
 from .models import NetworkSpec, StageSpec
 from .optim import EdtParams, LrSchedule, SgdConfig
@@ -24,58 +26,22 @@ class ConfigError(ValueError):
     pass
 
 
-# section -> key -> type tag, in canonical snapshot order
-_SCHEMA = {
-    "model.teacher": {"channels": "ints", "blocks": "ints", "downsample": "bools",
-                      "residual": "bool"},
-    "model.student": {"channels": "ints", "blocks": "ints", "downsample": "bools",
-                      "residual": "bool"},
-    "data": {"source": "str", "path": "str", "val_path": "str", "classes": "int",
-             "per_class_train": "int", "per_class_val": "int", "image_size": "int",
-             "data_seed": "int", "batch_size": "int", "pad": "int",
-             "random_crop": "bool", "hflip_prob": "float"},
-    "optim": {"lr0": "float", "momentum": "float", "weight_decay": "float"},
-    "schedule": {"milestones": "ints", "factor": "float"},
-    "distill": {"temperature": "float", "alpha": "float", "lambda": "float",
-                "n_decay": "int", "gkd_enabled": "bool", "plain_kd_fallback": "bool",
-                "kd_t_squared": "bool", "edt_stepwise": "bool"},
-    "run": {"epochs": "int", "seed": "int", "out_dir": "str"},
-}
-
-def _bool(value: str) -> bool:
-    if value not in ("true", "false"):
-        raise ValueError("expected true or false")
-    return value == "true"
-
-
-def _bools(value: str) -> Tuple[bool, ...]:
-    items = [v.strip() for v in value.split(",") if v.strip()]
-    if any(v not in ("0", "1") for v in items):
-        raise ValueError("every item must be 0 or 1")
-    return tuple(v == "1" for v in items)
-
-
-def _ints(value: str) -> Tuple[int, ...]:
-    return tuple(int(v) for v in value.split(",") if v.strip())
-
-
-_PARSE = {"int": int, "float": float, "bool": _bool, "str": str, "ints": _ints,
-          "bools": _bools}
-_TYPED = {sec: {key: _PARSE[tag] for key, tag in keys.items()}
-          for sec, keys in _SCHEMA.items()}
-
-
-def parse_kv_text(text: str, origin: str = "<config>") -> Dict[str, dict]:
-    """Parse and type-check; returns {section: {key: typed value}}."""
-    return parse_sections(text, origin, ConfigError, _TYPED)
-
-
 @dataclass
 class ModelSection:
     channels: Tuple[int, ...]
-    blocks: Tuple[int, ...]
-    downsample: Tuple[bool, ...]
+    blocks: Optional[Tuple[int, ...]] = None          # None: one block per stage
+    downsample: Optional[Tuple[bool, ...]] = None     # None: every stage after the first
     residual: bool = True
+
+    def __post_init__(self):
+        n = len(self.channels)
+        if self.blocks is None:
+            self.blocks = (1,) * n
+        if self.downsample is None:
+            self.downsample = (False,) + (True,) * (n - 1)
+        if len(self.blocks) != n or len(self.downsample) != n:
+            raise ValueError("channels/blocks/downsample lengths differ")
+        self.to_spec(num_classes=2, input_channels=1)     # the stage rules, on load
 
     def to_spec(self, num_classes: int, input_channels: int) -> NetworkSpec:
         stages = tuple(StageSpec(b, c, d) for b, c, d
@@ -101,6 +67,21 @@ class DataSection:
     random_crop: bool = False
     hflip_prob: float = 0.0
 
+    def __post_init__(self):
+        if self.source not in ("synthetic", "cifar10", "cifar100-fine"):
+            raise ValueError(f"source must be synthetic/cifar10/cifar100-fine, "
+                             f"got {self.source!r}")
+        for key in ("path", "val_path"):
+            if self.source != "synthetic" and not getattr(self, key):
+                raise ValueError(f"source {self.source} requires '{key}'")
+        for key, rule, ok in (("batch_size", ">= 1", self.batch_size >= 1),
+                              ("per_class_train", ">= 1", self.per_class_train >= 1),
+                              ("per_class_val", ">= 1", self.per_class_val >= 1),
+                              ("pad", ">= 0", self.pad >= 0),
+                              ("hflip_prob", "in [0, 1]", 0.0 <= self.hflip_prob <= 1.0)):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)}")
+
     @property
     def num_classes(self) -> int:
         return {"synthetic": self.classes, "cifar10": 10, "cifar100-fine": 100}[self.source]
@@ -110,7 +91,11 @@ class DataSection:
 class RunSection:
     epochs: int
     seed: int
-    out_dir: str
+    out_dir: str = "runs/out"
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass
@@ -121,30 +106,52 @@ class RunConfig:
     optim: SgdConfig
     schedule: LrSchedule
     distill: Optional[DistillConfig]
-    edt_stepwise: bool
+    edt: Optional[EdtParams]      # the [distill] decay, n_decay resolved
     run: RunSection
 
-    def edt_params(self) -> EdtParams:
-        if self.distill is None:
-            raise ConfigError("no [distill] section in this config")
-        n = self.distill.n_decay
-        if n is None:
-            n = self.schedule.milestones[0] if self.schedule.milestones else 30
-        return EdtParams(alpha=self.distill.alpha, lam=self.distill.lam, n_decay=n,
-                         stepwise=self.edt_stepwise)
+
+# section -> the dataclasses its keys fill, in canonical snapshot order
+_SECTIONS = {"model.teacher": (ModelSection,), "model.student": (ModelSection,),
+             "data": (DataSection,), "optim": (SgdConfig,), "schedule": (LrSchedule,),
+             "distill": (DistillConfig, EdtParams), "run": (RunSection,)}
+# config key -> field name, where they differ ("lambda" is a Python keyword)
+_FIELD = {"lambda": "lam", "edt_stepwise": "stepwise"}
+_KEY = {f: k for k, f in _FIELD.items()}
 
 
-def _model_section(sec: dict, where: str) -> ModelSection:
-    if "channels" not in sec:
-        raise ConfigError(f"[{where}] is missing required key 'channels'")
-    channels = sec["channels"]
-    n = len(channels)
-    blocks = sec.get("blocks", tuple([1] * n))
-    downsample = sec.get("downsample", tuple([False] + [True] * (n - 1)))
-    if len(blocks) != n or len(downsample) != n:
-        raise ConfigError(f"[{where}]: channels/blocks/downsample lengths differ")
-    return ModelSection(channels=channels, blocks=blocks, downsample=downsample,
-                        residual=sec.get("residual", True))
+def _keys(classes) -> Dict[str, object]:
+    """key -> type of each field of ``classes``; the first class with a key types it."""
+    keys: Dict[str, object] = {}
+    for cls in classes:
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            keys.setdefault(_KEY.get(f.name, f.name), hints[f.name])
+    return keys
+
+
+SCHEMA = {sec: _keys(classes) for sec, classes in _SECTIONS.items()}
+
+
+def parse_kv_text(text: str, origin: str = "<config>") -> Dict[str, dict]:
+    """Parse and type-check; returns {section: {key: typed value}}."""
+    return parse_sections(text, origin, ConfigError, SCHEMA)
+
+
+def _section(name: str, cls, kvs: Mapping[str, object]):
+    """Build ``cls`` from the keys of section ``name`` that are its fields; a
+    missing required key, or a value the dataclass refuses, is a
+    ConfigError naming the section."""
+    args = {}
+    for f in fields(cls):
+        if f.name in kvs:
+            args[f.name] = kvs[f.name]
+        elif f.default is MISSING:
+            raise ConfigError(f"[{name}] is missing required key "
+                              f"'{_KEY.get(f.name, f.name)}'")
+    try:
+        return cls(**args)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {exc}") from None
 
 
 def build_config(sections: Dict[str, dict]) -> RunConfig:
@@ -152,54 +159,26 @@ def build_config(sections: Dict[str, dict]) -> RunConfig:
     for required in ("data", "optim", "schedule", "run"):
         if required not in sections:
             raise ConfigError(f"missing required section [{required}]")
-    teacher = (_model_section(sections["model.teacher"], "model.teacher")
-               if "model.teacher" in sections else None)
-    student = (_model_section(sections["model.student"], "model.student")
-               if "model.student" in sections else None)
-    data = DataSection(**sections["data"])
-    if data.source not in ("synthetic", "cifar10", "cifar100-fine"):
-        raise ConfigError(f"[data] source must be synthetic/cifar10/cifar100-fine, "
-                          f"got {data.source!r}")
-    if data.source != "synthetic" and not data.path:
-        raise ConfigError(f"[data] source {data.source} requires 'path'")
-    for key, rule, ok in (("batch_size", ">= 1", data.batch_size >= 1),
-                          ("per_class_train", ">= 1", data.per_class_train >= 1),
-                          ("per_class_val", ">= 1", data.per_class_val >= 1),
-                          ("pad", ">= 0", data.pad >= 0),
-                          ("hflip_prob", "in [0, 1]", 0.0 <= data.hflip_prob <= 1.0)):
-        if not ok:
-            raise ConfigError(f"[data] {key} must be {rule}, got {getattr(data, key)}")
-    for name, model in (("model.teacher", teacher), ("model.student", student)):
-        if data.source == "synthetic" and model is not None:
-            step = 1 << sum(model.downsample)     # each tap halves the resolution
+    secs = {name: {_FIELD.get(k, k): v for k, v in kvs.items()}
+            for name, kvs in sections.items()}
+    built = {name: _section(name, _SECTIONS[name][0], kvs) for name, kvs in secs.items()}
+    data = built["data"]
+    for name in ("model.teacher", "model.student"):
+        if data.source == "synthetic" and name in built:
+            step = 1 << sum(built[name].downsample)     # each tap halves the resolution
             if data.image_size < 1 or data.image_size % step:
                 raise ConfigError(f"[data] image_size must be a positive multiple of "
                                   f"{step} for [{name}], got {data.image_size}")
-    o = sections["optim"]
-    for req in ("lr0",):
-        if req not in o:
-            raise ConfigError(f"[optim] is missing required key '{req}'")
-    optim = SgdConfig(lr0=o["lr0"], momentum=o.get("momentum", 0.9),
-                      weight_decay=o.get("weight_decay", 0.0))
-    s = sections["schedule"]
-    schedule = LrSchedule(milestones=s.get("milestones", ()), factor=s.get("factor", 0.1))
-    distill = None
-    edt_stepwise = False
-    if "distill" in sections:
-        d = dict(sections["distill"])
-        edt_stepwise = d.pop("edt_stepwise", False)
-        if "lambda" in d:
-            d["lam"] = d.pop("lambda")
-        distill = DistillConfig(**d)
-    r = sections["run"]
-    for req in ("epochs", "seed"):
-        if req not in r:
-            raise ConfigError(f"[run] is missing required key '{req}'")
-    run = RunSection(epochs=r["epochs"], seed=r["seed"],
-                     out_dir=r.get("out_dir", "runs/out"))
-    return RunConfig(teacher=teacher, student=student, data=data, optim=optim,
-                     schedule=schedule, distill=distill, edt_stepwise=edt_stepwise,
-                     run=run)
+    distill, edt = built.get("distill"), None
+    if distill is not None:
+        n = distill.n_decay
+        if n is None:
+            n = built["schedule"].milestones[0] if built["schedule"].milestones else 30
+        edt = _section("distill", EdtParams, {**secs["distill"], "alpha": distill.alpha,
+                                              "lam": distill.lam, "n_decay": n})
+    return RunConfig(teacher=built.get("model.teacher"), student=built.get("model.student"),
+                     data=data, optim=built["optim"], schedule=built["schedule"],
+                     distill=distill, edt=edt, run=built["run"])
 
 
 def merge_sections(base: Dict[str, dict], overlay: Dict[str, dict]) -> Dict[str, dict]:
@@ -210,24 +189,11 @@ def merge_sections(base: Dict[str, dict], overlay: Dict[str, dict]) -> Dict[str,
     return out
 
 
-def _fmt_value(tag: str, v) -> str:
-    if tag == "bool":
-        return "true" if v else "false"
-    if tag == "ints":
-        return ",".join(str(x) for x in v)
-    if tag == "bools":
-        return ",".join("1" if x else "0" for x in v)
-    if tag == "float":
-        return f"{v:.10g}"
-    return str(v)
-
-
 def snapshot_text(sections: Dict[str, dict]) -> str:
     """Canonical text of typed sections: fixed section and key order."""
     return emit_sections({
-        sec: {key: _fmt_value(tag, sections[sec][key])
-              for key, tag in _SCHEMA[sec].items() if key in sections[sec]}
-        for sec in _SCHEMA if sec in sections})
+        sec: {key: format_value(sections[sec][key]) for key in keys if key in sections[sec]}
+        for sec, keys in SCHEMA.items() if sec in sections})
 
 
 PRESETS = {
@@ -320,7 +286,11 @@ def load_config(path=None, preset: Optional[str] = None,
         sections.setdefault("run", {})["seed"] = seed
     if out_dir is not None:
         sections.setdefault("run", {})["out_dir"] = out_dir
-    cfg = build_config(sections)
+    try:
+        cfg = build_config(sections)
+    except ConfigError as exc:
+        origin = path if path is not None else f"<preset:{preset}>"
+        raise ConfigError(f"{origin}: {exc}") from None
     cfg._sections = sections     # kept for the provenance snapshot
     return cfg
 
@@ -334,7 +304,5 @@ def load_datasets(data: DataSection) -> Tuple[Dataset, Dataset]:
         return train, val
     variant = data.source
     train = load_cifar_binary(data.path, variant, split="train")
-    if not data.val_path:
-        raise ConfigError(f"[data] source {variant} requires 'val_path'")
     val = load_cifar_binary(data.val_path, variant, split="val")
     return train, val

@@ -3,14 +3,44 @@
 ``[section]`` headers, ``key = value`` lines, blank lines and ``#`` comment
 lines. Every key belongs to the section above it. Values are kept as text
 unless a schema types them; a schema also rejects sections and keys it does
-not name.
+not name. ``parse_value`` and ``format_value`` are the one typed value codec:
+bools are ``true``/``false``, tuples comma-separated (bool items ``0``/``1``),
+floats written as ``.10g``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Union, get_args, get_origin
 
-Schema = Mapping[str, Mapping[str, Callable[[str], object]]]
+Schema = Mapping[str, Mapping[str, object]]     # section -> key -> type
+
+
+def parse_value(tp, text: str):
+    """The value of type ``tp`` that ``text`` spells; ValueError if none."""
+    if get_origin(tp) is Union:
+        tp = next(a for a in get_args(tp) if a is not type(None))
+    if get_origin(tp) is tuple:
+        item = get_args(tp)[0]
+        items = [v.strip() for v in text.split(",") if v.strip()]
+        if item is bool:
+            if any(v not in ("0", "1") for v in items):
+                raise ValueError("every item must be 0 or 1")
+            return tuple(v == "1" for v in items)
+        return tuple(item(v) for v in items)
+    if tp is bool:
+        if text not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return text == "true"
+    return tp(text)
+
+
+def format_value(v) -> str:
+    """The text ``parse_value`` reads back to ``v``; floats keep 10 digits."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, tuple):
+        return ",".join(("1" if x else "0") if isinstance(x, bool) else str(x) for x in v)
+    return f"{v:.10g}" if isinstance(v, float) else str(v)
 
 
 def parse_sections(text: str, origin: str, error: type,
@@ -40,7 +70,7 @@ def parse_sections(text: str, origin: str, error: type,
             if key not in schema[current]:
                 raise error(f"{where}: unknown key '{key}' in [{current}]")
             try:
-                value = schema[current][key](value)
+                value = parse_value(schema[current][key], value)
             except ValueError as exc:
                 raise error(f"{where}: cannot parse {key} = {value!r}: {exc}") from None
         sections[current][key] = value

@@ -20,6 +20,7 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
+from .kvtext import format_value, parse_value
 from .tensor import Tensor, add_bias, conv2d, global_avg_pool
 
 
@@ -83,7 +84,7 @@ def spec_fields(spec: NetworkSpec) -> Dict[str, str]:
                       for st in spec.stages)
     return {"stages": stages, "num_classes": str(spec.num_classes),
             "input_channels": str(spec.input_channels),
-            "residual": "true" if spec.residual else "false"}
+            "residual": format_value(spec.residual)}
 
 
 def spec_from_fields(fields: Mapping[str, str]) -> NetworkSpec:
@@ -96,12 +97,13 @@ def spec_from_fields(fields: Mapping[str, str]) -> NetworkSpec:
             part = part[:-1]
         blocks, _, channels = part.partition("x")
         stages.append(StageSpec(int(blocks), int(channels), down))
-    if fields["residual"] not in ("true", "false"):
-        raise ValueError(f"residual must be true or false, got {fields['residual']!r}")
+    try:
+        residual = parse_value(bool, fields["residual"])
+    except ValueError as exc:
+        raise ValueError(f"residual = {fields['residual']!r}: {exc}") from None
     spec = NetworkSpec(stages=tuple(stages),
                        num_classes=int(fields["num_classes"]),
-                       input_channels=int(fields["input_channels"]),
-                       residual=fields["residual"] == "true")
+                       input_channels=int(fields["input_channels"]), residual=residual)
     spec.validate()
     return spec
 

@@ -29,8 +29,8 @@ class SgdConfig:
 
 @dataclass
 class LrSchedule:
-    milestones: Tuple[int, ...]
-    factor: float
+    milestones: Tuple[int, ...] = ()
+    factor: float = 0.1
 
     def __post_init__(self):
         ms = tuple(self.milestones)

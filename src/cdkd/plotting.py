@@ -28,8 +28,11 @@ class CsvFormatError(ValueError):
 def read_metrics_csv(path) -> Dict[str, List[float]]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "epoch" not in reader.fieldnames:
-            raise CsvFormatError(f"{path}: not a metrics CSV (no epoch column)")
+        missing = [name for name in ("epoch", *_COLORS)
+                   if name not in (reader.fieldnames or ())]
+        if missing:
+            raise CsvFormatError(f"{path}: not a metrics CSV (no {', '.join(missing)} "
+                                 f"column)")
         cols: Dict[str, List[float]] = {name: [] for name in reader.fieldnames}
         for row in reader:
             for name in cols:

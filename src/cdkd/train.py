@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, get_type_hints
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (AugmentConfig, BatchPlan, Dataset, augment_batch, batch_indices,
                    channel_stats, iterate_batches, normalize)
-from .kvtext import emit_sections, parse_sections
+from .kvtext import emit_sections, format_value, parse_sections, parse_value
 from .losses import (DistillConfig, LossBreakdown, cd_loss, ce_loss, channel_weights,
                      gkd_loss, kd_loss, teacher_correct_mask, total_loss)
 from .models import (Network, NetworkSpec, adapt_channels, build_network, forward_with_taps,
@@ -97,14 +97,6 @@ def evaluate(net: Network, ds: Dataset, means: np.ndarray, stds: np.ndarray,
 # -- checkpoint headers -------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.10g}"
-
-
-def _cell(v) -> str:
-    return str(v) if isinstance(v, int) else _fmt(v)
-
-
 def _floats_csv(values) -> str:
     return ",".join(f"{float(v):.9g}" for v in values)
 
@@ -130,7 +122,7 @@ def _save_run_checkpoint(path: Path, spec: NetworkSpec, net: Network,
                 tensors[f"adapter{i}.w"] = k.data
         sections["adapters"] = kvs
     sections["normalize"] = {"means": _floats_csv(means), "stds": _floats_csv(stds)}
-    sections["state"] = {f.name: _cell(getattr(state, f.name)) for f in fields(TrainState)}
+    sections["state"] = {k: format_value(v) for k, v in asdict(state).items()}
     tensors.update(opt.state_tensors())
     save_checkpoint(path, emit_sections(sections), tensors)
 
@@ -163,7 +155,8 @@ def load_model_checkpoint(path):
                             f" tap, but adapter{i}.w has shape {kernel.shape}")
                 adapters.append(kernel)
         st = secs["state"]
-        state = TrainState(**{f.name: type(f.default)(st[f.name]) for f in fields(TrainState)})
+        types = get_type_hints(TrainState)     # the fields, in order
+        state = TrainState(**{k: parse_value(t, st[k]) for k, t in types.items()})
         norm = secs["normalize"]
         means = np.array([float(x) for x in norm["means"].split(",")], dtype=np.float32)
         stds = np.array([float(x) for x in norm["stds"].split(",")], dtype=np.float32)
@@ -188,10 +181,6 @@ def _check_same_stats(path, whose: str, theirs, ours) -> None:
 
 
 # -- the shared fit loop ------------------------------------------------------
-
-
-def _csv_row(values) -> str:
-    return ",".join(_cell(v) for v in values)
 
 
 class _TeacherTargets:
@@ -226,7 +215,6 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
          edt: Optional[EdtParams] = None,
          resume_from=None) -> TrainResult:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if aug_cfg is None:
         aug_cfg = AugmentConfig(*channel_stats(train_ds))
     means, stds = aug_cfg.channel_means, aug_cfg.channel_stds
@@ -261,7 +249,10 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
     if resume_from is not None:
         net, adapters, state, ckpt_norm, tensors = load_model_checkpoint(resume_from)
         if net.spec != spec:
-            raise ValueError("checkpoint architecture does not match requested spec")
+            theirs, ours = spec_fields(net.spec), spec_fields(spec)
+            key = next(k for k in ours if theirs[k] != ours[k])
+            raise ValueError(f"{resume_from}: checkpoint has [arch.model] {key} = "
+                             f"{theirs[key]}, this run {ours[key]}")
         # a resumed run must normalize and distill exactly as the original did
         _check_same_stats(resume_from, "checkpoint", ckpt_norm, (means, stds))
         if _adapter_lines(adapters) != need_adapters:
@@ -278,6 +269,10 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
             arng = np.random.default_rng(state.adapter_seed)
             adapters = [make_adapter(cs, ct, arng)
                         for cs, ct in zip(spec.tap_channels, teacher.spec.tap_channels)]
+    if epochs <= state.epoch:    # would write checkpoints but no metrics.csv row
+        done = f"{resume_from}: checkpoint is at epoch {state.epoch}, so " if resume_from else ""
+        raise ValueError(f"{done}epochs = {epochs} leaves no epoch to train")
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     named = net.trainable_parameters()
     if adapters is not None:
@@ -382,7 +377,7 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
                n_correct_teacher / n_seen, train_top1,
                last_val.top1_error, last_val.top5_error,
                time.perf_counter() - t_epoch]
-        csv_lines.append(_csv_row(row))
+        csv_lines.append(",".join(format_value(v) for v in row))
         csv_path.write_text("\n".join(csv_lines) + "\n")
         if last_val.top1_error < state.best_val_top1:
             state.best_val_top1 = last_val.top1_error

@@ -1,9 +1,12 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from cdkd.cli import main
 from cdkd.checkpoint import load_checkpoint, save_checkpoint
-from cdkd.config import (ConfigError, build_config, load_config, parse_kv_text,
-                         preset_sections, snapshot_text)
+from cdkd.config import (PRESETS, SCHEMA, ConfigError, build_config, load_config,
+                         parse_kv_text, preset_sections, snapshot_text)
 
 TINY_CONFIG = """
 [model.teacher]
@@ -100,6 +103,40 @@ def test_data_values_are_validated_on_load(tmp_path, overlay, key):
         load_config(path=path)
 
 
+@pytest.mark.parametrize("overlay, section", [
+    ("[optim]\nmomentum = 1.5", "optim"),
+    ("[schedule]\nfactor = 1.5", "schedule"),
+    ("[schedule]\nmilestones = 5,3", "schedule"),
+    ("[distill]\ntemperature = 0", "distill"),
+    ("[distill]\nplain_kd_fallback = true", "distill"),    # with gkd_enabled = true
+    ("[model.student]\nchannels = 4", "model.student"),
+    ("[run]\nepochs = -3", "run"),
+])
+def test_refused_values_name_file_and_section(tmp_path, capsys, overlay, section):
+    path = tmp_path / "c.conf"
+    path.write_text(TINY_CONFIG.format(out=tmp_path / "out") + "\n" + overlay + "\n")
+    assert main(["train-teacher", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: [{section}] ")
+
+
+def test_refusal_in_a_preset_names_the_preset(monkeypatch):
+    broken = PRESETS["cifar-recipe"].replace("epochs = 200", "epochs = 0")
+    monkeypatch.setitem(PRESETS, "cifar-recipe", broken)
+    with pytest.raises(ConfigError, match=re.escape("<preset:cifar-recipe>: [run] epochs "
+                                                    "must be >= 1, got 0")):
+        load_config(preset="cifar-recipe")
+
+
+def test_readme_config_example_is_the_schema():
+    """The README's ini block parses, and names every key the sections have."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    sections = parse_kv_text(block, origin="README.md")
+    assert ({(sec, key) for sec, kvs in sections.items() for key in kvs}
+            == {(sec, key) for sec, keys in SCHEMA.items() for key in keys})
+
+
 def test_missing_required_section():
     with pytest.raises(ConfigError, match=r"\[run\]"):
         build_config(parse_kv_text("[data]\nsource = synthetic\n[optim]\nlr0 = 0.1\n"
@@ -110,14 +147,14 @@ def test_n_decay_defaults_to_first_milestone(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text(TINY_CONFIG.format(out=tmp_path).replace("n_decay = 2\n", ""))
     cfg = load_config(path=path)
-    assert cfg.edt_params().n_decay == 50
+    assert cfg.edt.n_decay == 50
 
 
 def test_edt_stepwise_flag_reaches_schedule(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text(TINY_CONFIG.format(out=tmp_path) + "\n[distill]\nedt_stepwise = true\n")
     cfg = load_config(path=path)
-    assert cfg.edt_params().stepwise is True
+    assert cfg.edt.stepwise is True
 
 
 def test_config_file_overrides_preset(tmp_path):
@@ -246,3 +283,18 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
         assert main(["eval", "--config", str(conf), "--ckpt", str(path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+
+
+@pytest.mark.parametrize("where", ["eval --ckpt", "[data] path"])
+def test_cli_directory_path_is_one_error_line(tmp_path, capsys, where):
+    folder = tmp_path / "a-folder"
+    folder.mkdir()
+    conf = write_config(tmp_path, tmp_path / "out")
+    argv = ["eval", "--config", str(conf), "--ckpt", str(folder)]
+    if where == "[data] path":
+        conf.write_text(conf.read_text() + f"\n[data]\nsource = cifar10\npath = {folder}\n"
+                                           f"val_path = {folder}\n")
+        argv = ["train-teacher", "--config", str(conf)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(folder) in err[0]

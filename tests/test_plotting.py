@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from cdkd.cli import main
 from cdkd.plotting import CsvFormatError, read_metrics_csv, write_metrics_svg
 from cdkd.train import CSV_COLUMNS
 
@@ -49,3 +52,15 @@ def test_empty_csv_rejected(tmp_path):
     empty.write_text(HEADER + "\n")
     with pytest.raises(CsvFormatError, match="no data"):
         read_metrics_csv(empty)
+
+
+def test_csv_without_plotted_columns_names_them(tmp_path, capsys):
+    csv = tmp_path / "m.csv"
+    csv.write_text("epoch,lr,loss_cd\n0,0.1,0.5\n")
+    with pytest.raises(CsvFormatError, match=re.escape(f"{csv}: not a metrics CSV (no "
+                                                       f"loss_total, loss_gkd, loss_ce,")):
+        read_metrics_csv(csv)
+    capsys.readouterr()
+    assert main(["plot", "--csv", str(csv)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {csv}: ")

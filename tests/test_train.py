@@ -213,15 +213,41 @@ def test_resume_refuses_adapters_that_do_not_fit_the_run(tiny_data, tiny_specs, 
 
     scratch = train_teacher(student, train, val, SGD, SCHED, epochs=1, seed=1,
                             out_dir=tmp_path / "ce", batch_size=32).final_ckpt
+    other_arch = train_teacher(NetworkSpec.from_channels([4, 8], num_classes=4), train, val,
+                               SGD, SCHED, epochs=1, seed=1, out_dir=tmp_path / "arch",
+                               batch_size=32).final_ckpt
     with_cd = run(teachers[0], cd, "cd")
     calls = count_teacher_forwards(monkeypatch)
-    for tag, ckpt, teacher_ckpt, cfg in (("ce-as-cd", scratch, teachers[0], cd),
-                                         ("other-taps", with_cd, teachers[1], cd),
-                                         ("cd-off", with_cd, teachers[0], gkd)):
-        with pytest.raises(ValueError, match=f"{re.escape(str(ckpt))}: checkpoint has "
-                                             f"adapters"):
+    for tag, ckpt, teacher_ckpt, cfg, why in (
+            ("ce-as-cd", scratch, teachers[0], cd, "checkpoint has adapters"),
+            ("other-taps", with_cd, teachers[1], cd, "checkpoint has adapters"),
+            ("cd-off", with_cd, teachers[0], gkd, "checkpoint has adapters"),
+            ("other-arch", other_arch, teachers[0], gkd,
+             "checkpoint has [arch.model] stages = 1x4,1x8d, this run 1x4,1x6d")):
+        with pytest.raises(ValueError, match=f"{re.escape(str(ckpt))}: {re.escape(why)}"):
             run(teacher_ckpt, cfg, tag, resume_from=ckpt)
     assert calls == []
+
+
+def test_runs_that_would_train_no_epoch_are_refused(tiny_data, tiny_specs, tmp_path):
+    """A fresh run with epochs < 1, or a resume from a checkpoint that already
+    has the run's epochs, would write checkpoints but no metrics.csv row; it
+    is refused before the out-dir is made."""
+    train, val = tiny_data
+    spec, _ = tiny_specs
+
+    def run(tag, epochs, resume_from=None):
+        return train_teacher(spec, train, val, SGD, SCHED, epochs=epochs, seed=0,
+                             out_dir=tmp_path / tag, batch_size=32, resume_from=resume_from)
+
+    for epochs in (0, -3):
+        with pytest.raises(ValueError, match=f"^epochs = {epochs} leaves no epoch to train"):
+            run("fresh", epochs)
+    done = run("done", 1).final_ckpt
+    with pytest.raises(ValueError, match=f"^{re.escape(str(done))}: checkpoint is at "
+                                         f"epoch 1, so epochs = 1 leaves no epoch"):
+        run("resumed", 1, resume_from=done)
+    assert not (tmp_path / "fresh").exists() and not (tmp_path / "resumed").exists()
 
 
 def test_distill_refuses_teacher_with_other_normalization(tiny_data, tiny_specs, tmp_path,
