@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, load_config, load_datasets, snapshot_text
@@ -70,7 +71,7 @@ def _prepare(args, need_model: str):
     out_dir = Path(cfg.run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(snapshot_text(cfg._sections))
-    spec = model.to_spec(cfg.data.num_classes, train_ds.images.shape[1])
+    spec = replace(model, input_channels=train_ds.images.shape[1])
     return cfg, spec, train_ds, val_ds, aug, out_dir
 
 

@@ -11,6 +11,7 @@ copies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, get_type_hints
@@ -18,38 +19,12 @@ from typing import Dict, Mapping, Optional, Tuple, get_type_hints
 from .data import Dataset, load_cifar_binary, make_synthetic
 from .kvtext import emit_sections, format_value, parse_sections
 from .losses import DistillConfig
-from .models import NetworkSpec, StageSpec
+from .models import NetworkSpec
 from .optim import EdtParams, LrSchedule, SgdConfig
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class ModelSection:
-    channels: Tuple[int, ...]
-    blocks: Optional[Tuple[int, ...]] = None          # None: one block per stage
-    downsample: Optional[Tuple[bool, ...]] = None     # None: every stage after the first
-    residual: bool = True
-
-    def __post_init__(self):
-        n = len(self.channels)
-        if self.blocks is None:
-            self.blocks = (1,) * n
-        if self.downsample is None:
-            self.downsample = (False,) + (True,) * (n - 1)
-        if len(self.blocks) != n or len(self.downsample) != n:
-            raise ValueError("channels/blocks/downsample lengths differ")
-        self.to_spec(num_classes=2, input_channels=1)     # the stage rules, on load
-
-    def to_spec(self, num_classes: int, input_channels: int) -> NetworkSpec:
-        stages = tuple(StageSpec(b, c, d) for b, c, d
-                       in zip(self.blocks, self.channels, self.downsample))
-        spec = NetworkSpec(stages=stages, num_classes=num_classes,
-                           input_channels=input_channels, residual=self.residual)
-        spec.validate()
-        return spec
 
 
 @dataclass
@@ -74,7 +49,9 @@ class DataSection:
         for key in ("path", "val_path"):
             if self.source != "synthetic" and not getattr(self, key):
                 raise ValueError(f"source {self.source} requires '{key}'")
-        for key, rule, ok in (("batch_size", ">= 1", self.batch_size >= 1),
+        for key, rule, ok in (("classes", ">= 2", self.source != "synthetic"
+                               or self.classes >= 2),
+                              ("batch_size", ">= 1", self.batch_size >= 1),
                               ("per_class_train", ">= 1", self.per_class_train >= 1),
                               ("per_class_val", ">= 1", self.per_class_val >= 1),
                               ("pad", ">= 0", self.pad >= 0),
@@ -100,8 +77,8 @@ class RunSection:
 
 @dataclass
 class RunConfig:
-    teacher: Optional[ModelSection]
-    student: Optional[ModelSection]
+    teacher: Optional[NetworkSpec]
+    student: Optional[NetworkSpec]
     data: DataSection
     optim: SgdConfig
     schedule: LrSchedule
@@ -111,12 +88,14 @@ class RunConfig:
 
 
 # section -> the dataclasses its keys fill, in canonical snapshot order
-_SECTIONS = {"model.teacher": (ModelSection,), "model.student": (ModelSection,),
+_SECTIONS = {"model.teacher": (NetworkSpec,), "model.student": (NetworkSpec,),
              "data": (DataSection,), "optim": (SgdConfig,), "schedule": (LrSchedule,),
              "distill": (DistillConfig, EdtParams), "run": (RunSection,)}
 # config key -> field name, where they differ ("lambda" is a Python keyword)
 _FIELD = {"lambda": "lam", "edt_stepwise": "stepwise"}
 _KEY = {f: k for k, f in _FIELD.items()}
+# the NetworkSpec fields the data fixes, so no config key sets them
+_FROM_DATA = ("num_classes", "input_channels")
 
 
 def _keys(classes) -> Dict[str, object]:
@@ -125,7 +104,8 @@ def _keys(classes) -> Dict[str, object]:
     for cls in classes:
         hints = get_type_hints(cls)
         for f in fields(cls):
-            keys.setdefault(_KEY.get(f.name, f.name), hints[f.name])
+            if f.name not in _FROM_DATA:
+                keys.setdefault(_KEY.get(f.name, f.name), hints[f.name])
     return keys
 
 
@@ -139,15 +119,17 @@ def parse_kv_text(text: str, origin: str = "<config>") -> Dict[str, dict]:
 
 def _section(name: str, cls, kvs: Mapping[str, object]):
     """Build ``cls`` from the keys of section ``name`` that are its fields; a
-    missing required key, or a value the dataclass refuses, is a
-    ConfigError naming the section."""
+    missing required key, a non-finite float, or a value the dataclass
+    refuses, is a ConfigError naming the section."""
     args = {}
     for f in fields(cls):
+        key = _KEY.get(f.name, f.name)
         if f.name in kvs:
-            args[f.name] = kvs[f.name]
+            args[f.name] = value = kvs[f.name]
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"[{name}] {key} must be finite, got {value}")
         elif f.default is MISSING:
-            raise ConfigError(f"[{name}] is missing required key "
-                              f"'{_KEY.get(f.name, f.name)}'")
+            raise ConfigError(f"[{name}] is missing required key '{key}'")
     try:
         return cls(**args)
     except ValueError as exc:
@@ -161,8 +143,11 @@ def build_config(sections: Dict[str, dict]) -> RunConfig:
             raise ConfigError(f"missing required section [{required}]")
     secs = {name: {_FIELD.get(k, k): v for k, v in kvs.items()}
             for name, kvs in sections.items()}
+    data = _section("data", DataSection, secs.pop("data"))
+    for name in ("model.teacher", "model.student"):
+        if name in secs:
+            secs[name]["num_classes"] = data.num_classes
     built = {name: _section(name, _SECTIONS[name][0], kvs) for name, kvs in secs.items()}
-    data = built["data"]
     for name in ("model.teacher", "model.student"):
         if data.source == "synthetic" and name in built:
             step = 1 << sum(built[name].downsample)     # each tap halves the resolution

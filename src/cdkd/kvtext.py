@@ -5,12 +5,14 @@ lines. Every key belongs to the section above it. Values are kept as text
 unless a schema types them; a schema also rejects sections and keys it does
 not name. ``parse_value`` and ``format_value`` are the one typed value codec:
 bools are ``true``/``false``, tuples comma-separated (bool items ``0``/``1``),
-floats written as ``.10g``.
+floats written as ``.10g``; ``format_record`` and ``parse_record`` apply it
+to every field of a dataclass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Union, get_args, get_origin
+from dataclasses import asdict
+from typing import Dict, Mapping, Optional, Union, get_args, get_origin, get_type_hints
 
 Schema = Mapping[str, Mapping[str, object]]     # section -> key -> type
 
@@ -41,6 +43,16 @@ def format_value(v) -> str:
     if isinstance(v, tuple):
         return ",".join(("1" if x else "0") if isinstance(x, bool) else str(x) for x in v)
     return f"{v:.10g}" if isinstance(v, float) else str(v)
+
+
+def format_record(obj) -> Dict[str, str]:
+    """A dataclass instance as one ``key = value`` line per field."""
+    return {k: format_value(v) for k, v in asdict(obj).items()}
+
+
+def parse_record(cls, kvs: Mapping[str, str]):
+    """Inverse of ``format_record``; KeyError names a missing field."""
+    return cls(**{k: parse_value(t, kvs[k]) for k, t in get_type_hints(cls).items()})
 
 
 def parse_sections(text: str, origin: str, error: type,

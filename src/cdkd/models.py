@@ -16,96 +16,58 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .kvtext import format_value, parse_value
 from .tensor import Tensor, add_bias, conv2d, global_avg_pool
 
 
 @dataclass(frozen=True)
-class StageSpec:
-    blocks: int
-    channels: int
-    downsample: bool
-
-    def validate(self) -> None:
-        if self.blocks < 1:
-            raise ValueError(f"stage blocks must be >= 1, got {self.blocks}")
-        if self.channels < 1:
-            raise ValueError(f"stage channels must be >= 1, got {self.channels}")
-
-
-@dataclass(frozen=True)
 class NetworkSpec:
-    stages: tuple
+    """The architecture; a checkpoint's [arch.model] section and, less the
+    two fields the data fixes, a config's [model.*] keys."""
+    channels: Tuple[int, ...]
     num_classes: int
+    blocks: Optional[Tuple[int, ...]] = None          # None: one block per stage
+    downsample: Optional[Tuple[bool, ...]] = None     # None: every stage after the first
     input_channels: int = 3
     residual: bool = True
 
-    def validate(self) -> None:
-        if len(self.stages) < 2:
-            raise ValueError(f"need >= 2 stages, got {len(self.stages)}")
-        for st in self.stages:
-            st.validate()
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.input_channels < 1:
-            raise ValueError(f"input_channels must be >= 1, got {self.input_channels}")
+    def __post_init__(self):
+        n = len(self.channels)
+        blocks = (1,) * n if self.blocks is None else self.blocks
+        down = (False,) + (True,) * (n - 1) if self.downsample is None else self.downsample
+        for name, value in (("channels", self.channels), ("blocks", blocks),
+                            ("downsample", down)):
+            object.__setattr__(self, name, tuple(value))
+        if n < 2:
+            raise ValueError(f"need >= 2 stages, got {n}")
+        if len(self.blocks) != n or len(self.downsample) != n:
+            raise ValueError("channels/blocks/downsample lengths differ")
+        for key, value, least in (("blocks", min(self.blocks), 1),
+                                  ("channels", min(self.channels), 1),
+                                  ("num_classes", self.num_classes, 2),
+                                  ("input_channels", self.input_channels, 1)):
+            if value < least:
+                raise ValueError(f"{key} must be >= {least}, got {value}")
 
     @property
     def tap_count(self) -> int:
-        return sum(1 for st in self.stages if st.downsample)
+        return sum(self.downsample)
 
     @property
     def tap_channels(self) -> tuple:
-        return tuple(st.channels for st in self.stages if st.downsample)
+        return tuple(c for c, d in zip(self.channels, self.downsample) if d)
 
     @classmethod
     def from_channels(cls, channels, num_classes, blocks=1, input_channels=3,
                       residual=True) -> "NetworkSpec":
-        """Default family: first stage keeps resolution, every later stage halves it."""
+        """``blocks`` per stage (an int for all), the default downsampling."""
         if isinstance(blocks, int):
             blocks = [blocks] * len(channels)
-        stages = tuple(
-            StageSpec(blocks=b, channels=c, downsample=(i > 0))
-            for i, (b, c) in enumerate(zip(blocks, channels)))
-        spec = cls(stages=stages, num_classes=num_classes,
-                   input_channels=input_channels, residual=residual)
-        spec.validate()
-        return spec
-
-
-def spec_fields(spec: NetworkSpec) -> Dict[str, str]:
-    """Canonical text encoding, one field per key; a checkpoint header's
-    [arch.model] section."""
-    stages = ",".join(f"{st.blocks}x{st.channels}" + ("d" if st.downsample else "")
-                      for st in spec.stages)
-    return {"stages": stages, "num_classes": str(spec.num_classes),
-            "input_channels": str(spec.input_channels),
-            "residual": format_value(spec.residual)}
-
-
-def spec_from_fields(fields: Mapping[str, str]) -> NetworkSpec:
-    """Inverse of ``spec_fields``; raises KeyError or ValueError on bad fields."""
-    stages = []
-    for part in fields["stages"].split(","):
-        part = part.strip()
-        down = part.endswith("d")
-        if down:
-            part = part[:-1]
-        blocks, _, channels = part.partition("x")
-        stages.append(StageSpec(int(blocks), int(channels), down))
-    try:
-        residual = parse_value(bool, fields["residual"])
-    except ValueError as exc:
-        raise ValueError(f"residual = {fields['residual']!r}: {exc}") from None
-    spec = NetworkSpec(stages=tuple(stages),
-                       num_classes=int(fields["num_classes"]),
-                       input_channels=int(fields["input_channels"]), residual=residual)
-    spec.validate()
-    return spec
+        return cls(channels, num_classes, blocks, input_channels=input_channels,
+                   residual=residual)
 
 
 @dataclass
@@ -153,17 +115,16 @@ def _init_conv(rng: np.random.Generator, c_out, c_in, kh, kw) -> np.ndarray:
 
 def build_network(spec: NetworkSpec, seed: int) -> Network:
     """Deterministically initialized network: fan-in-scaled uniform convs, zero biases."""
-    spec.validate()
     rng = np.random.default_rng(seed)
     params: dict = {}
     blocks: list = []
     in_ch = spec.input_channels
-    for si, stage in enumerate(spec.stages):
+    for si, (out_ch, n_blocks, down) in enumerate(
+            zip(spec.channels, spec.blocks, spec.downsample)):
         stage_blocks = []
-        for bi in range(stage.blocks):
+        for bi in range(n_blocks):
             name = f"s{si}b{bi}"
-            stride = 2 if (bi == 0 and stage.downsample) else 1
-            out_ch = stage.channels
+            stride = 2 if (bi == 0 and down) else 1
             k1 = 2 if stride == 2 else 3
             params[f"{name}.conv1"] = Tensor(
                 _init_conv(rng, out_ch, in_ch, k1, k1), requires_grad=True)
@@ -211,15 +172,15 @@ def forward_with_taps(net: Network, batch: Tensor):
                          f"{spec.input_channels}")
     taps = []
     h, w = x.shape[2], x.shape[3]
-    for si, stage in enumerate(spec.stages):
-        if stage.downsample:
+    for si, down in enumerate(spec.downsample):
+        if down:
             if h < 2 or w < 2 or h % 2 or w % 2:
                 raise ValueError(
                     f"resolution underflow: stage {si} cannot halve {h}x{w}")
             h, w = h // 2, w // 2
         for blk in net._blocks[si]:
             x = _forward_block(net, blk, x, spec.residual)
-        if stage.downsample:
+        if down:
             taps.append(x)
     pooled = global_avg_pool(x)
     logits = add_bias(pooled @ net.params["fc.w"], net.params["fc.b"])

@@ -36,6 +36,8 @@ class LrSchedule:
         ms = tuple(self.milestones)
         if any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError(f"milestones must be strictly increasing, got {ms}")
+        if any(m < 1 for m in ms):
+            raise ValueError(f"milestones must be >= 1, got {ms}")
         if not (0.0 < self.factor < 1.0):
             raise ValueError(f"factor must be in (0, 1), got {self.factor}")
         object.__setattr__(self, "milestones", ms)

@@ -14,20 +14,20 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, get_type_hints
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (AugmentConfig, BatchPlan, Dataset, augment_batch, batch_indices,
                    channel_stats, iterate_batches, normalize)
-from .kvtext import emit_sections, format_value, parse_sections, parse_value
+from .kvtext import emit_sections, format_record, format_value, parse_record, parse_sections
 from .losses import (DistillConfig, LossBreakdown, cd_loss, ce_loss, channel_weights,
                      gkd_loss, kd_loss, teacher_correct_mask, total_loss)
 from .models import (Network, NetworkSpec, adapt_channels, build_network, forward_with_taps,
-                     freeze, make_adapter, spec_fields, spec_from_fields)
+                     freeze, make_adapter)
 from .optim import EdtParams, LrSchedule, SgdConfig, SgdOptimizer, edt_weight, lr_at_epoch
 from .seeds import derive, derive_epoch
 from .tensor import Tensor, backward, no_grad
@@ -112,7 +112,7 @@ def _save_run_checkpoint(path: Path, spec: NetworkSpec, net: Network,
                          adapters: Optional[List[Optional[Tensor]]],
                          opt: SgdOptimizer, state: TrainState,
                          means: np.ndarray, stds: np.ndarray) -> None:
-    sections = {"arch.model": spec_fields(spec)}
+    sections = {"arch.model": format_record(spec)}
     tensors: Dict[str, np.ndarray] = {name: p.data for name, p in net.parameters()}
     if adapters is not None:
         kvs = {"count": str(len(adapters))}
@@ -122,7 +122,7 @@ def _save_run_checkpoint(path: Path, spec: NetworkSpec, net: Network,
                 tensors[f"adapter{i}.w"] = k.data
         sections["adapters"] = kvs
     sections["normalize"] = {"means": _floats_csv(means), "stds": _floats_csv(stds)}
-    sections["state"] = {k: format_value(v) for k, v in asdict(state).items()}
+    sections["state"] = format_record(state)
     tensors.update(opt.state_tensors())
     save_checkpoint(path, emit_sections(sections), tensors)
 
@@ -138,7 +138,7 @@ def load_model_checkpoint(path):
     header, tensors = load_checkpoint(path)
     secs = parse_sections(header, str(path), CheckpointError)
     try:
-        spec = spec_from_fields(secs["arch.model"])
+        spec = parse_record(NetworkSpec, secs["arch.model"])
         net = build_network(spec, seed=0)
         net.load_param_values({name: tensors[name] for name, _ in net.parameters()})
         adapters = None
@@ -154,9 +154,7 @@ def load_model_checkpoint(path):
                             f"{path}: adapter{i} is {desc} on a {c}-channel"
                             f" tap, but adapter{i}.w has shape {kernel.shape}")
                 adapters.append(kernel)
-        st = secs["state"]
-        types = get_type_hints(TrainState)     # the fields, in order
-        state = TrainState(**{k: parse_value(t, st[k]) for k, t in types.items()})
+        state = parse_record(TrainState, secs["state"])
         norm = secs["normalize"]
         means = np.array([float(x) for x in norm["means"].split(",")], dtype=np.float32)
         stds = np.array([float(x) for x in norm["stds"].split(",")], dtype=np.float32)
@@ -249,7 +247,7 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
     if resume_from is not None:
         net, adapters, state, ckpt_norm, tensors = load_model_checkpoint(resume_from)
         if net.spec != spec:
-            theirs, ours = spec_fields(net.spec), spec_fields(spec)
+            theirs, ours = format_record(net.spec), format_record(spec)
             key = next(k for k in ours if theirs[k] != ours[k])
             raise ValueError(f"{resume_from}: checkpoint has [arch.model] {key} = "
                              f"{theirs[key]}, this run {ours[key]}")
@@ -288,7 +286,6 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
     # batches always run the live teacher and never touch the cache
     cache = (_TeacherTargets(len(train_ds))
              if need_teacher and not aug_cfg.randomizes else None)
-    t_hw = None     # spatial shape of each teacher tap, from a live forward
     csv_path = out_dir / "metrics.csv"
     csv_lines = [",".join(CSV_COLUMNS)]
     if resume_from is not None and csv_path.exists():
@@ -323,7 +320,6 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
                 targets = cache.get(idx) if full else None
                 if targets is None:
                     t_logits, t_taps = forward_with_taps(teacher, x)
-                    t_hw = [tt.shape[2:] for tt in t_taps]
                     targets = [t_logits] + ([channel_weights(tt) for tt in t_taps]
                                             if cd_on else [])
                     if full:
@@ -333,12 +329,8 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
 
             cd_terms: List[Tensor] = []
             if cd_on:
-                for i, (hw, wt, st_) in enumerate(zip(t_hw, t_gaps, s_taps)):
-                    adapted = adapt_channels(adapters[i], st_)
-                    if adapted.shape[2:] != hw:
-                        raise ValueError(
-                            f"tap {i}: spatial mismatch {adapted.shape[2:]} vs {hw}")
-                    cd_terms.append(cd_loss(channel_weights(adapted), wt))
+                for kernel, wt, st_ in zip(adapters, t_gaps, s_taps):
+                    cd_terms.append(cd_loss(channel_weights(adapt_channels(kernel, st_)), wt))
             gkd_term = None
             cnt = 0
             if gkd_on:

@@ -18,7 +18,8 @@ import pytest
 
 from cdkd.data import AugmentConfig
 from cdkd.losses import DistillConfig
-from cdkd.optim import EdtParams
+from cdkd.models import NetworkSpec
+from cdkd.optim import EdtParams, LrSchedule
 from cdkd.train import distill, train_teacher
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -60,3 +61,6 @@ def test_bench_worker_calls_bind():
     EdtParams(W.ALPHA, wl.distill_lambda, W.N_DECAY)
     AugmentConfig(np.zeros(3, np.float32), np.ones(3, np.float32), pad=wl.pad,
                   random_crop=True, hflip_prob=W.HFLIP_PROB)
+    for wl in W.WORKLOADS.values():
+        NetworkSpec.from_channels(list(wl.channels), num_classes=W.CLASSES)
+        LrSchedule((wl.milestone,), W.LR_FACTOR)

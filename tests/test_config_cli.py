@@ -111,6 +111,13 @@ def test_data_values_are_validated_on_load(tmp_path, overlay, key):
     ("[distill]\nplain_kd_fallback = true", "distill"),    # with gkd_enabled = true
     ("[model.student]\nchannels = 4", "model.student"),
     ("[run]\nepochs = -3", "run"),
+    ("[schedule]\nmilestones = -5,3", "schedule"),
+    ("[data]\nclasses = 1", "data"),
+    ("[optim]\nlr0 = nan", "optim"),
+    ("[optim]\nlr0 = inf", "optim"),
+    ("[distill]\ntemperature = nan", "distill"),
+    ("[distill]\nalpha = nan", "distill"),
+    ("[distill]\nalpha = inf", "distill"),
 ])
 def test_refused_values_name_file_and_section(tmp_path, capsys, overlay, section):
     path = tmp_path / "c.conf"
@@ -273,16 +280,20 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
     conf, teacher_out, _ = cli_run
     header, tensors = load_checkpoint(teacher_out / "final.ckpt")
     no_arch = header.replace("[arch.model]", "[arch.other]")
+    arch = "channels = 4,6\nnum_classes = 4\nblocks = 1,1\ndownsample = 0,1\n"
+    assert arch in header
+    old_format = header.replace(arch, "stages = 1x4,1x6d\nnum_classes = 4\n")
     short_table = dict(tensors)
     short_table.pop("fc.b")
-    for name, head, table in (("no-arch.ckpt", no_arch, tensors),
-                              ("no-fc-b.ckpt", header, short_table)):
+    for name, head, table, why in (("no-arch.ckpt", no_arch, tensors, "'arch.model'"),
+                                   ("old-format.ckpt", old_format, tensors, "'channels'"),
+                                   ("no-fc-b.ckpt", header, short_table, "'fc.b'")):
         path = tmp_path / name
         save_checkpoint(path, head, table)     # CRC-valid, contents incomplete
         capsys.readouterr()
         assert main(["eval", "--config", str(conf), "--ckpt", str(path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+        assert err == [f"error: {path}: no {why} in header or tensors"]
 
 
 @pytest.mark.parametrize("where", ["eval --ckpt", "[data] path"])

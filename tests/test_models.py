@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cdkd.losses import cd_loss, channel_weights
-from cdkd.models import (NetworkSpec, StageSpec, adapt_channels, build_network, forward,
-                         forward_with_taps, freeze, make_adapter, parameter_count,
-                         spec_fields, spec_from_fields)
+from cdkd.kvtext import format_record, parse_record
+from cdkd.models import (NetworkSpec, adapt_channels, build_network, forward,
+                         forward_with_taps, freeze, make_adapter, parameter_count)
 from cdkd.oracle import oracle_conv2d
 from cdkd.tensor import Tensor, backward, softened_softmax
 
@@ -46,11 +46,15 @@ def test_classifier_width_equals_num_classes():
 
 
 def test_spec_validation_errors():
-    with pytest.raises(ValueError, match="2 stages"):
-        NetworkSpec(stages=(StageSpec(1, 8, False),), num_classes=4).validate()
-    with pytest.raises(ValueError, match="channels"):
-        NetworkSpec(stages=(StageSpec(1, 0, False), StageSpec(1, 4, True)),
-                    num_classes=4).validate()
+    for kwargs, why in (({"channels": (8,)}, "2 stages"),
+                        ({"channels": (0, 4)}, "channels must be >= 1, got 0"),
+                        ({"channels": (4, 8), "blocks": (1, 0)}, "blocks must be >= 1"),
+                        ({"channels": (4, 8), "blocks": (1,)}, "lengths differ"),
+                        ({"channels": (4, 8), "downsample": (0, 1, 1)}, "lengths differ"),
+                        ({"channels": (4, 8), "num_classes": 1}, "num_classes"),
+                        ({"channels": (4, 8), "input_channels": 0}, "input_channels")):
+        with pytest.raises(ValueError, match=why):
+            NetworkSpec(**{"num_classes": 4, **kwargs})
 
 
 def test_taps_at_downsampling_stages_32x32():
@@ -150,7 +154,12 @@ def test_paired_specs_have_equal_taps():
 
 
 def test_spec_text_round_trip():
-    spec = NetworkSpec(stages=(StageSpec(2, 8, False), StageSpec(1, 16, True),
-                               StageSpec(3, 32, True)),
-                       num_classes=11, input_channels=1, residual=False)
-    assert spec_from_fields(spec_fields(spec)) == spec
+    spec = NetworkSpec((8, 16, 32), num_classes=11, blocks=(2, 1, 3),
+                       downsample=(False, True, True), input_channels=1, residual=False)
+    text = format_record(spec)
+    assert text == {"channels": "8,16,32", "num_classes": "11", "blocks": "2,1,3",
+                    "downsample": "0,1,1", "input_channels": "1", "residual": "false"}
+    assert parse_record(NetworkSpec, text) == spec
+    default = NetworkSpec([4, 8, 16], num_classes=4)     # one block; all but the first halve
+    assert (default.blocks, default.downsample) == ((1, 1, 1), (False, True, True))
+    assert parse_record(NetworkSpec, format_record(default)) == default

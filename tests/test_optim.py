@@ -104,6 +104,14 @@ def test_milestones_must_increase():
         LrSchedule(milestones=(10, 10), factor=0.1)
 
 
+def test_milestones_must_be_positive():
+    """A milestone at or before epoch 0 would cut the rate before any training."""
+    for ms in ((-5, 3), (0, 4)):
+        with pytest.raises(ValueError, match="milestones must be >= 1"):
+            LrSchedule(milestones=ms, factor=0.1)
+    assert lr_at_epoch(LrSchedule(milestones=(1,)), 0.1, 0) == 0.1
+
+
 # -- early decay teacher ----------------------------------------------------------
 
 

@@ -7,8 +7,7 @@ import cdkd.train
 from cdkd.data import (AugmentConfig, BatchPlan, Dataset, batch_indices, channel_stats,
                        make_synthetic)
 from cdkd.losses import DistillConfig, cd_loss, channel_weights
-from cdkd.models import (NetworkSpec, StageSpec, build_network, forward_with_taps,
-                         make_adapter)
+from cdkd.models import NetworkSpec, build_network, forward_with_taps, make_adapter
 from cdkd.optim import EdtParams, LrSchedule, SgdConfig
 from cdkd.tensor import Tensor
 from cdkd.train import (CSV_COLUMNS, NonFiniteLossError, distill, evaluate,
@@ -166,8 +165,7 @@ def test_distill_tap_count_mismatch_rejected(tiny_data, tmp_path, monkeypatch):
     cd_only = DistillConfig(alpha=1.0, gkd_enabled=False, n_decay=5)
     cd_gkd = DistillConfig(alpha=1.0, gkd_enabled=True, n_decay=5)
     four = NetworkSpec.from_channels([4, 6], num_classes=4)
-    flat = NetworkSpec(stages=(StageSpec(1, 4, False), StageSpec(1, 6, False)),
-                       num_classes=4)
+    flat = NetworkSpec((4, 6), num_classes=4, downsample=(False, False))
     cases = [
         ("tap count mismatch", four, tiny_data,
          NetworkSpec.from_channels([4, 6, 8], num_classes=4),
@@ -223,7 +221,7 @@ def test_resume_refuses_adapters_that_do_not_fit_the_run(tiny_data, tiny_specs, 
             ("other-taps", with_cd, teachers[1], cd, "checkpoint has adapters"),
             ("cd-off", with_cd, teachers[0], gkd, "checkpoint has adapters"),
             ("other-arch", other_arch, teachers[0], gkd,
-             "checkpoint has [arch.model] stages = 1x4,1x8d, this run 1x4,1x6d")):
+             "checkpoint has [arch.model] channels = 4,8, this run 4,6")):
         with pytest.raises(ValueError, match=f"{re.escape(str(ckpt))}: {re.escape(why)}"):
             run(teacher_ckpt, cfg, tag, resume_from=ckpt)
     assert calls == []
