@@ -5,18 +5,22 @@ Layout (all integers little-endian):
     bytes 0-3   magic "CDKD"
     u16         format version (currently 1)
     u32         header length, then that many bytes of UTF-8 canonical
-                config text (architecture and run state, key = value lines)
+                key = value text (the run's records: architecture, stats,
+                hyperparameters, teacher and run state)
     u32         tensor count
     per tensor  u16 name length, name bytes, u8 rank, u32 extent per axis,
                 float32 values (little-endian, row-major)
     u32         CRC-32 of every preceding byte
 
 Tensors round-trip in file order, so save -> load -> save is byte-identical.
+A save writes a temp file beside the target and renames it over the target,
+so the target holds either its old bytes or the whole new file.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -59,8 +63,12 @@ def save_checkpoint(path, header_text: str, tensors: Dict[str, np.ndarray]) -> N
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.tobytes())
     body = b"".join(chunks)
-    blob = body + struct.pack("<I", zlib.crc32(body))
-    Path(path).write_bytes(blob)
+    tmp = Path(f"{path}.tmp")     # a write cut short never leaves a torn file at path
+    try:
+        tmp.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> Tuple[str, Dict[str, np.ndarray]]:

@@ -107,8 +107,12 @@ def _cmd_eval(args) -> int:
     cfg = load_config(path=args.config, preset=args.preset, seed=args.seed,
                       out_dir=args.out_dir)
     _, val_ds = load_datasets(cfg.data)
-    net, _, _, (means, stds), _ = load_model_checkpoint(ckpt)
-    metrics = evaluate(net, val_ds, means, stds)
+    net, records = load_model_checkpoint(ckpt)
+    if val_ds.class_count != net.spec.num_classes:
+        raise ConfigError(f"{ckpt}: model has {net.spec.num_classes} classes, but "
+                          f"{args.config or f'<preset:{args.preset}>'} [data] has "
+                          f"{val_ds.class_count}")
+    metrics = evaluate(net, val_ds, records["normalize"].means, records["normalize"].stds)
     print(f"top-1 error {metrics.top1_error:.4f}%")
     print(f"top-5 error {metrics.top5_error:.4f}%")
     return 0

@@ -4,9 +4,9 @@
 lines. Every key belongs to the section above it. Values are kept as text
 unless a schema types them; a schema also rejects sections and keys it does
 not name. ``parse_value`` and ``format_value`` are the one typed value codec:
-bools are ``true``/``false``, tuples comma-separated (bool items ``0``/``1``),
-floats written as ``.10g``; ``format_record`` and ``parse_record`` apply it
-to every field of a dataclass.
+bools are ``true``/``false``, tuples comma-separated with no empty item (bool
+items ``0``/``1``), floats written as ``.10g``; ``format_record`` and
+``parse_record`` apply it to each field of a dataclass, a None field having no line.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ def parse_value(tp, text: str):
         tp = next(a for a in get_args(tp) if a is not type(None))
     if get_origin(tp) is tuple:
         item = get_args(tp)[0]
-        items = [v.strip() for v in text.split(",") if v.strip()]
+        items = [v.strip() for v in text.split(",")] if text.strip() else []
+        if "" in items:
+            raise ValueError("empty item in the list")
         if item is bool:
             if any(v not in ("0", "1") for v in items):
                 raise ValueError("every item must be 0 or 1")
@@ -41,18 +43,20 @@ def format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, tuple):
-        return ",".join(("1" if x else "0") if isinstance(x, bool) else str(x) for x in v)
+        return ",".join(str(int(x)) if isinstance(x, bool) else format_value(x) for x in v)
     return f"{v:.10g}" if isinstance(v, float) else str(v)
 
 
 def format_record(obj) -> Dict[str, str]:
-    """A dataclass instance as one ``key = value`` line per field."""
-    return {k: format_value(v) for k, v in asdict(obj).items()}
+    """A dataclass instance as one ``key = value`` line per field that is not None."""
+    return {k: format_value(v) for k, v in asdict(obj).items() if v is not None}
 
 
 def parse_record(cls, kvs: Mapping[str, str]):
-    """Inverse of ``format_record``; KeyError names a missing field."""
-    return cls(**{k: parse_value(t, kvs[k]) for k, t in get_type_hints(cls).items()})
+    """Inverse of ``format_record``: an Optional field with no line is None;
+    KeyError names any other missing field."""
+    return cls(**{k: None if k not in kvs and type(None) in get_args(t)
+                  else parse_value(t, kvs[k]) for k, t in get_type_hints(cls).items()})
 
 
 def parse_sections(text: str, origin: str, error: type,

@@ -98,13 +98,6 @@ class Network:
             crc = zlib.crc32(np.ascontiguousarray(p.data, dtype="<f4").tobytes(), crc)
         return crc
 
-    def load_param_values(self, values: dict) -> None:
-        for name, p in self.params.items():
-            arr = np.ascontiguousarray(values[name], dtype=np.float32)
-            if arr.shape != p.data.shape:
-                raise ValueError(f"param {name}: shape {arr.shape} != expected {p.data.shape}")
-            p.data = arr
-
 
 def _init_conv(rng: np.random.Generator, c_out, c_in, kh, kw) -> np.ndarray:
     # relu-gain fan-in scaling: without normalization layers anything weaker

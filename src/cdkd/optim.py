@@ -124,10 +124,3 @@ class SgdOptimizer:
     def state_tensors(self) -> dict:
         """Velocity slots keyed for checkpointing."""
         return {f"vel.{name}": v for name, v in self.velocity.items()}
-
-    def load_state_tensors(self, tensors: dict) -> None:
-        for name in self.velocity:
-            arr = np.ascontiguousarray(tensors[f"vel.{name}"], dtype=np.float32)
-            if arr.shape != self.velocity[name].shape:
-                raise ValueError(f"velocity {name}: shape mismatch")
-            self.velocity[name] = arr

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,6 +83,7 @@ def evaluate(net: Network, ds: Dataset, means: np.ndarray, stds: np.ndarray,
     if ds.class_count != net.spec.num_classes:
         raise ValueError(f"dataset has {ds.class_count} classes, model expects "
                          f"{net.spec.num_classes}")
+    means, stds = np.asarray(means, np.float32), np.asarray(stds, np.float32)
     plan = BatchPlan(batch_size=batch_size, shuffle_seed=0)
     all_logits = []
     with no_grad():
@@ -97,85 +98,78 @@ def evaluate(net: Network, ds: Dataset, means: np.ndarray, stds: np.ndarray,
 # -- checkpoint headers -------------------------------------------------------
 
 
-def _floats_csv(values) -> str:
-    return ",".join(f"{float(v):.9g}" for v in values)
+@dataclass
+class Normalization:
+    """The per-channel input means and stds, the header's [normalize]. Held
+    as float32 values, so equal stats compare equal whatever digits spelled them."""
+    means: Tuple[float, ...]
+    stds: Tuple[float, ...]
+
+    def __post_init__(self):
+        self.means, self.stds = (tuple(map(float, np.asarray(v, np.float32)))
+                                 for v in (self.means, self.stds))
 
 
-def _adapter_lines(kernels: Optional[List[Optional[Tensor]]]) -> Optional[List[str]]:
-    """Each adapter's header line: identity, or c_in->c_out from its kernel."""
-    if kernels is None:
-        return None
-    return ["identity" if k is None else f"{k.shape[1]}->{k.shape[0]}" for k in kernels]
+@dataclass
+class TeacherId:
+    """The frozen teacher a distill run loaded, the header's [teacher]."""
+    checksum: int
 
 
-def _save_run_checkpoint(path: Path, spec: NetworkSpec, net: Network,
-                         adapters: Optional[List[Optional[Tensor]]],
-                         opt: SgdOptimizer, state: TrainState,
-                         means: np.ndarray, stds: np.ndarray) -> None:
-    sections = {"arch.model": format_record(spec)}
-    tensors: Dict[str, np.ndarray] = {name: p.data for name, p in net.parameters()}
-    if adapters is not None:
-        kvs = {"count": str(len(adapters))}
-        for i, (k, line) in enumerate(zip(adapters, _adapter_lines(adapters))):
-            kvs[f"a{i}"] = line
-            if k is not None:
-                tensors[f"adapter{i}.w"] = k.data
-        sections["adapters"] = kvs
-    sections["normalize"] = {"means": _floats_csv(means), "stds": _floats_csv(stds)}
-    sections["state"] = format_record(state)
-    tensors.update(opt.state_tensors())
-    save_checkpoint(path, emit_sections(sections), tensors)
+# header section -> its record, in header order; only [edt] and [teacher] may be absent
+RECORDS = {"arch.model": NetworkSpec, "normalize": Normalization, "optim": SgdConfig,
+           "schedule": LrSchedule, "distill": DistillConfig, "edt": EdtParams,
+           "teacher": TeacherId, "state": TrainState}
 
 
-def load_model_checkpoint(path):
-    """Rebuild (net, adapters, state, normalization stats, raw tensors).
-
-    ``adapters`` is None for a run without CD, else one 1x1 kernel Tensor
-    per tap, None where the tap is identity. A header or tensor table that
-    does not describe a whole run raises CheckpointError naming the file
-    and what is missing or malformed.
-    """
+def _read_checkpoint(path):
+    """(records by header section, tensors by name); a missing section or
+    field, or a malformed value, raises CheckpointError naming the file."""
     header, tensors = load_checkpoint(path)
     secs = parse_sections(header, str(path), CheckpointError)
     try:
-        spec = parse_record(NetworkSpec, secs["arch.model"])
-        net = build_network(spec, seed=0)
-        net.load_param_values({name: tensors[name] for name, _ in net.parameters()})
-        adapters = None
-        if "adapters" in secs:
-            adapters = []
-            for i in range(int(secs["adapters"]["count"])):
-                desc, c = secs["adapters"][f"a{i}"], spec.tap_channels[i]
-                kernel = None
-                if desc != "identity":
-                    kernel = Tensor(tensors[f"adapter{i}.w"], requires_grad=True)
-                    if kernel.shape[1:] != (c, 1, 1) or _adapter_lines([kernel]) != [desc]:
-                        raise CheckpointError(
-                            f"{path}: adapter{i} is {desc} on a {c}-channel"
-                            f" tap, but adapter{i}.w has shape {kernel.shape}")
-                adapters.append(kernel)
-        state = parse_record(TrainState, secs["state"])
-        norm = secs["normalize"]
-        means = np.array([float(x) for x in norm["means"].split(",")], dtype=np.float32)
-        stds = np.array([float(x) for x in norm["stds"].split(",")], dtype=np.float32)
+        records = {sec: parse_record(cls, secs[sec]) for sec, cls in RECORDS.items()
+                   if sec in secs or sec not in ("edt", "teacher")}
     except KeyError as exc:
         raise CheckpointError(f"{path}: no {exc.args[0]!r} in header or tensors") from None
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    return net, adapters, state, (means, stds), tensors
+    return records, tensors
 
 
-def _check_same_stats(path, whose: str, theirs, ours) -> None:
-    """Refuse normalization stats (means, stds) that differ from the run's."""
-    for what, t_val, s_val in zip(("mean", "std"), theirs, ours):
-        if t_val.shape != s_val.shape:
-            raise ValueError(f"{path}: {whose} has {t_val.size} channel {what}s, "
-                             f"this run {s_val.size}")
-        bad = np.flatnonzero(t_val != s_val)
-        if bad.size:
-            c = bad[0]
-            raise ValueError(f"{path}: {whose} normalizes channel {c} with {what} "
-                             f"{t_val[c]:.9g}, this run with {s_val[c]:.9g}")
+def _tensor(path, tensors: Dict[str, np.ndarray], name: str, shape) -> np.ndarray:
+    """The checkpoint's tensor ``name``; CheckpointError unless it has ``shape``."""
+    if name not in tensors:
+        raise CheckpointError(f"{path}: no {name!r} in header or tensors")
+    if tensors[name].shape != shape:
+        raise CheckpointError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                              f"this run needs {shape}")
+    return tensors[name]
+
+
+def load_model_checkpoint(path):
+    """(net, records by header section), the net rebuilt from [arch.model]
+    and its parameter tensors."""
+    records, tensors = _read_checkpoint(path)
+    net = build_network(records["arch.model"], seed=0)
+    for name, p in net.parameters():
+        p.data = _tensor(path, tensors, name, p.shape)
+    return net, records
+
+
+def _refuse_other(path, whose: str, theirs: Dict[str, object], ours: Dict[str, object]):
+    """Refuse the first section whose record read from ``path`` differs in
+    value from the run's, compared as the header keeps the run's; the
+    ValueError names the file, the section, the field and both values."""
+    for sec in dict.fromkeys([*ours, *theirs]):
+        a, b = theirs.get(sec), ours.get(sec)
+        b = b if b is None else parse_record(type(b), format_record(b))
+        if a != b:
+            key = next(f.name for f in fields(a or b)
+                       if getattr(a, f.name, None) != getattr(b, f.name, None))
+            ta, tb = (format_record(r) if r is not None else {} for r in (a, b))
+            raise ValueError(f"{path}: {whose} has [{sec}] {key} = {ta.get(key, '(none)')}, "
+                             f"this run {tb.get(key, '(none)')}")
 
 
 # -- the shared fit loop ------------------------------------------------------
@@ -217,6 +211,12 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
         aug_cfg = AugmentConfig(*channel_stats(train_ds))
     means, stds = aug_cfg.channel_means, aug_cfg.channel_stds
 
+    # the run's header records; a resume must find the same values in its checkpoint
+    records = {"arch.model": spec, "normalize": Normalization(means, stds),
+               "optim": sgd_cfg, "schedule": sched, "distill": distill_cfg}
+    if edt is not None:
+        records["edt"] = edt
+
     cd_on = distill_cfg.alpha > 0.0
     gkd_on, kd_on = distill_cfg.gkd_enabled, distill_cfg.plain_kd_fallback
     need_teacher = cd_on or gkd_on or kd_on
@@ -224,9 +224,8 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
         raise ValueError("distillation terms active but no teacher provided")
 
     teacher = None
-    need_adapters = None    # the adapter header lines this run trains with
     if teacher_ckpt is not None:
-        teacher, _, _, t_norm, _ = load_model_checkpoint(teacher_ckpt)
+        teacher, t_records = load_model_checkpoint(teacher_ckpt)
         freeze(teacher)
         t_spec = teacher.spec
         for what, t_val, s_val in (("tap count", t_spec.tap_count, spec.tap_count),
@@ -235,51 +234,42 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
                                     spec.input_channels)):
             if t_val != s_val:
                 raise ValueError(f"{what} mismatch: teacher {t_val}, student {s_val}")
-        if cd_on:
-            if not spec.tap_count:
-                raise ValueError("channel distillation is on, but the nets have no "
-                                 "downsampling stage to tap")
-            need_adapters = ["identity" if cs == ct else f"{cs}->{ct}"
-                             for cs, ct in zip(spec.tap_channels, t_spec.tap_channels)]
+        if cd_on and not spec.tap_count:
+            raise ValueError("channel distillation is on, but the nets have no "
+                             "downsampling stage to tap")
         # the teacher must see inputs normalized as in its own training run
-        _check_same_stats(teacher_ckpt, "teacher", t_norm, (means, stds))
+        _refuse_other(teacher_ckpt, "teacher", {"normalize": t_records["normalize"]},
+                      {"normalize": records["normalize"]})
+        records["teacher"] = TeacherId(teacher.checksum())
 
     if resume_from is not None:
-        net, adapters, state, ckpt_norm, tensors = load_model_checkpoint(resume_from)
-        if net.spec != spec:
-            theirs, ours = format_record(net.spec), format_record(spec)
-            key = next(k for k in ours if theirs[k] != ours[k])
-            raise ValueError(f"{resume_from}: checkpoint has [arch.model] {key} = "
-                             f"{theirs[key]}, this run {ours[key]}")
-        # a resumed run must normalize and distill exactly as the original did
-        _check_same_stats(resume_from, "checkpoint", ckpt_norm, (means, stds))
-        if _adapter_lines(adapters) != need_adapters:
-            raise ValueError(f"{resume_from}: checkpoint has adapters "
-                             f"{_adapter_lines(adapters)}, this run needs {need_adapters}")
+        theirs, tensors = _read_checkpoint(resume_from)
+        state = theirs.pop("state")
+        _refuse_other(resume_from, "checkpoint", theirs, records)
     else:
         state = TrainState(model_seed=derive(seed, "model"),
                            shuffle_seed=derive(seed, "shuffle"),
                            augment_seed=derive(seed, "augment"),
                            adapter_seed=derive(seed, "adapters"))
-        net = build_network(spec, seed=state.model_seed)
-        adapters = None
-        if cd_on:
-            arng = np.random.default_rng(state.adapter_seed)
-            adapters = [make_adapter(cs, ct, arng)
-                        for cs, ct in zip(spec.tap_channels, teacher.spec.tap_channels)]
     if epochs <= state.epoch:    # would write checkpoints but no metrics.csv row
         done = f"{resume_from}: checkpoint is at epoch {state.epoch}, so " if resume_from else ""
         raise ValueError(f"{done}epochs = {epochs} leaves no epoch to train")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    named = net.trainable_parameters()
-    if adapters is not None:
-        named += [(f"adapter{i}.w", k) for i, k in enumerate(adapters) if k is not None]
+    net = build_network(spec, seed=state.model_seed)
+    arng = np.random.default_rng(state.adapter_seed)
+    adapters = [make_adapter(cs, ct, arng)
+                for cs, ct in zip(spec.tap_channels, teacher.spec.tap_channels)] if cd_on else []
+    adapter_named = [(f"adapter{i}.w", k) for i, k in enumerate(adapters) if k is not None]
+    named = net.trainable_parameters() + adapter_named
     opt = SgdOptimizer(named, sgd_cfg)
     if resume_from is not None:
-        opt.load_state_tensors(tensors)
+        # a resume takes each trainable tensor and its velocity from the checkpoint
+        for name, p in named:
+            p.data = _tensor(resume_from, tensors, name, p.shape)
+            opt.velocity[name] = _tensor(resume_from, tensors, f"vel.{name}", p.shape)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    teacher_crc = teacher.checksum() if teacher is not None else None
+    teacher_crc = records["teacher"].checksum if teacher is not None else None
     plan = BatchPlan(batch_size=batch_size, shuffle_seed=state.shuffle_seed)
     # a teacher row's bits do not depend on the other rows of a full batch,
     # but a short last batch can be one row, whose bits differ: short
@@ -297,8 +287,13 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
                           and r[0].isdigit() and int(r[0]) < state.epoch]
     last_val = Metrics(float("nan"), float("nan"))
 
+    records["state"] = state     # the header's last section, as of each save
+
     def save(name: str) -> None:
-        _save_run_checkpoint(out_dir / name, spec, net, adapters, opt, state, means, stds)
+        tensors = {n: p.data for n, p in net.parameters() + adapter_named}
+        tensors.update(opt.state_tensors())
+        save_checkpoint(out_dir / name, emit_sections(
+            {sec: format_record(r) for sec, r in records.items()}), tensors)
 
     for epoch in range(state.epoch, epochs):
         t_epoch = time.perf_counter()
@@ -419,7 +414,7 @@ def distill(teacher_ckpt, student_spec: NetworkSpec, train_ds: Dataset,
     the optimizer. Refused with ValueError before the first step: a teacher
     whose tap count, class count, input channels or normalization stats
     differ from the run's, CD on nets without taps, and a resume checkpoint
-    whose stats or adapters differ from the run's. With alpha=0 and both
+    with a header record that differs from the run's. With alpha=0 and both
     logit terms disabled this reduces, bit for bit, to plain cross-entropy
     training of the student.
     """

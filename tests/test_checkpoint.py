@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from cdkd.checkpoint import (BadMagicError, BadVersionError, CheckpointError,
                              ChecksumError, load_checkpoint, save_checkpoint)
+from cdkd.data import channel_stats
+from cdkd.kvtext import parse_record, parse_sections
 from cdkd.losses import DistillConfig
 from cdkd.optim import EdtParams, LrSchedule, SgdConfig
-from cdkd.train import distill, load_model_checkpoint, train_teacher
+from cdkd.train import (RECORDS, Normalization, TeacherId, TrainState, distill,
+                        load_model_checkpoint, train_teacher)
 
 
 def _tensors():
@@ -137,14 +140,54 @@ def test_resealed_corruption_raises_only_checkpoint_error(run_ckpt, data):
         assert str(path) in str(exc)
 
 
-def test_adapter_header_must_match_tap_and_kernel(run_ckpt):
+def test_resume_refuses_a_broken_tensor_table(run_ckpt, tiny_data, tiny_specs):
+    """A CRC-valid checkpoint whose adapter0.w has another shape, or that
+    lacks a velocity tensor, is refused naming the file and the tensor."""
     root, body = run_ckpt
-    path = root / "adapter.ckpt"
-    _reseal(path, body)
-    header, tensors = load_checkpoint(path)
-    load_model_checkpoint(path)
-    # the student's only tap has 6 channels and adapter0.w is (12, 6, 1, 1)
-    for desc in ("5->7", "6->7", "12->6"):
-        save_checkpoint(path, re.sub(r"(?m)^a0 = .*$", f"a0 = {desc}", header), tensors)
-        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: adapter0 is"):
-            load_model_checkpoint(path)
+    train, val = tiny_data
+    _reseal(root / "whole.ckpt", body)
+    header, tensors = load_checkpoint(root / "whole.ckpt")
+    # the student's only tap has 6 channels, the teacher's 12
+    assert tensors["adapter0.w"].shape == (12, 6, 1, 1)
+    narrow = {**tensors, "adapter0.w": tensors["adapter0.w"][:, :5]}
+    no_vel = {k: v for k, v in tensors.items() if k != "vel.s0b0.conv1"}
+    for name, table, why in (
+            ("narrow-adapter.ckpt", narrow,
+             "tensor 'adapter0.w' has shape (12, 5, 1, 1), this run needs (12, 6, 1, 1)"),
+            ("no-velocity.ckpt", no_vel, "no 'vel.s0b0.conv1' in header or tensors")):
+        path = root / name
+        save_checkpoint(path, header, table)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {why}')}$"):
+            distill(root / "teacher" / "final.ckpt", tiny_specs[1], train, val,
+                    DistillConfig(), SgdConfig(lr0=0.05), LrSchedule((10,), 0.1),
+                    EdtParams(1.0, 0.5, 10), epochs=2, seed=2, out_dir=root / "resumed",
+                    batch_size=32, resume_from=path)
+
+
+def test_header_sections_read_back_to_the_records_written(run_ckpt, tiny_data, tiny_specs):
+    """Every header section of a teacher and of a distill checkpoint is the
+    record the run wrote, read back by parse_record; the float32 stats
+    round-trip bit-exactly, and no value is spelled None."""
+    root, _ = run_ckpt
+    train, _ = tiny_data
+    means, stds = channel_stats(train)
+    sgd, sched = SgdConfig(lr0=0.05), LrSchedule((10,), 0.1)
+    teacher = load_model_checkpoint(root / "teacher" / "final.ckpt")[0]
+    runs = {"teacher": (tiny_specs[0], dict(distill=DistillConfig(alpha=0.0,
+                                                                   gkd_enabled=False))),
+            "student": (tiny_specs[1], dict(distill=DistillConfig(),
+                                            edt=EdtParams(1.0, 0.5, 10),
+                                            teacher=TeacherId(teacher.checksum())))}
+    for run, (spec, extra) in runs.items():
+        header, _ = load_checkpoint(root / run / "final.ckpt")
+        secs = parse_sections(header, run, CheckpointError)
+        assert "None" not in header and "adapters" not in secs
+        expected = {"arch.model": spec, "normalize": Normalization(means, stds),
+                    "optim": sgd, "schedule": sched, **extra}
+        assert list(secs) == [s for s in RECORDS if s in {**expected, "state": 0}]
+        for sec, record in expected.items():
+            assert parse_record(RECORDS[sec], secs[sec]) == record, sec
+        norm = parse_record(Normalization, secs["normalize"])
+        for got, want in ((norm.means, means), (norm.stds, stds)):
+            assert np.array(got, np.float32).tobytes() == want.tobytes()
+        assert parse_record(TrainState, secs["state"]).epoch == 1

@@ -7,6 +7,7 @@ from cdkd.cli import main
 from cdkd.checkpoint import load_checkpoint, save_checkpoint
 from cdkd.config import (PRESETS, SCHEMA, ConfigError, build_config, load_config,
                          parse_kv_text, preset_sections, snapshot_text)
+from cdkd.train import RECORDS
 
 TINY_CONFIG = """
 [model.teacher]
@@ -82,9 +83,14 @@ def test_unknown_section_rejected():
 def test_type_violation_is_diagnosed():
     for text, where in (("[optim]\nlr0 = fast\n", "<t>:2: cannot parse lr0"),
                         ("[model.student]\nchannels = 4,8,16\ndownsample = 0,yes,1\n",
-                         "<t>:3: cannot parse downsample")):
-        with pytest.raises(ConfigError, match=where):
+                         "<t>:3: cannot parse downsample"),
+                        ("[model.student]\nchannels = 4,,8\n",
+                         "<t>:2: cannot parse channels = '4,,8': empty item"),
+                        ("[schedule]\nfactor = 0.1\nmilestones = 30,\n",
+                         "<t>:3: cannot parse milestones = '30,': empty item")):
+        with pytest.raises(ConfigError, match=re.escape(where)):
             parse_kv_text(text, origin="<t>")
+    assert parse_kv_text("[schedule]\nmilestones = \n")["schedule"]["milestones"] == ()
 
 
 @pytest.mark.parametrize("overlay, key", [
@@ -266,6 +272,18 @@ def test_cli_distill_is_byte_deterministic(cli_run, tmp_path):
         (student_out / "final.ckpt").read_bytes()
 
 
+def test_readme_header_sections_are_the_ones_distill_writes(cli_run):
+    """The README's table of header sections names, in order, the sections
+    and records of a distill run's checkpoint header."""
+    _, _, student_out = cli_run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"(?m)^\| `\[([\w.]+)\]` \| `(\w+)` \|", readme)
+    header, _ = load_checkpoint(student_out / "final.ckpt")
+    written = re.findall(r"(?m)^\[([\w.]+)\]$", header)
+    assert [sec for sec, _ in rows] == written == list(RECORDS)
+    assert [cls for _, cls in rows] == [cls.__name__ for cls in RECORDS.values()]
+
+
 def test_cli_errors_exit_nonzero(tmp_path, capsys):
     assert main(["eval", "--config", str(tmp_path / "missing.conf"),
                  "--ckpt", "nope.ckpt"]) == 2
@@ -294,6 +312,39 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
         assert main(["eval", "--config", str(conf), "--ckpt", str(path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {path}: no {why} in header or tensors"]
+
+
+def test_cli_eval_with_other_class_count_names_both_files(cli_run, tmp_path, capsys):
+    conf, teacher_out, _ = cli_run
+    five = tmp_path / "five.conf"
+    five.write_text(conf.read_text() + "\n[data]\nclasses = 5\n")
+    ckpt = teacher_out / "final.ckpt"
+    assert main(["eval", "--config", str(five), "--ckpt", str(ckpt)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {ckpt}: model has 4 classes, but {five} [data] has 5"]
+
+
+def test_cli_resume_on_a_broken_tensor_table_is_one_error_line(cli_run, tmp_path, capsys):
+    """A CRC-valid checkpoint with a misshapen adapter or no velocity for a
+    parameter exits 2 with one line naming the file and the tensor."""
+    conf, teacher_out, student_out = cli_run
+    longer = tmp_path / "longer.conf"
+    longer.write_text(conf.read_text() + "\n[run]\nepochs = 3\n")
+    header, tensors = load_checkpoint(student_out / "last.ckpt")
+    assert tensors["adapter0.w"].shape == (6, 4, 1, 1)
+    cases = (("wide-adapter.ckpt", {**tensors, "adapter0.w": tensors["fc.w"]},
+              f"tensor 'adapter0.w' has shape {tensors['fc.w'].shape}, "
+              f"this run needs (6, 4, 1, 1)"),
+             ("no-velocity.ckpt", {k: v for k, v in tensors.items() if k != "vel.fc.b"},
+              "no 'vel.fc.b' in header or tensors"))
+    for name, table, why in cases:
+        path = tmp_path / name
+        save_checkpoint(path, header, table)
+        capsys.readouterr()
+        assert main(["distill", "--config", str(longer), "--out-dir", str(tmp_path / "out"),
+                     "--teacher-ckpt", str(teacher_out / "final.ckpt"),
+                     "--resume", str(path)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {path}: {why}"]
 
 
 @pytest.mark.parametrize("where", ["eval --ckpt", "[data] path"])

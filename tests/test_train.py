@@ -1,16 +1,19 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cdkd.train
+from cdkd.checkpoint import load_checkpoint, save_checkpoint
 from cdkd.data import (AugmentConfig, BatchPlan, Dataset, batch_indices, channel_stats,
                        make_synthetic)
+from cdkd.kvtext import format_value
 from cdkd.losses import DistillConfig, cd_loss, channel_weights
 from cdkd.models import NetworkSpec, build_network, forward_with_taps, make_adapter
 from cdkd.optim import EdtParams, LrSchedule, SgdConfig
 from cdkd.tensor import Tensor
-from cdkd.train import (CSV_COLUMNS, NonFiniteLossError, distill, evaluate,
+from cdkd.train import (CSV_COLUMNS, NonFiniteLossError, Normalization, distill, evaluate,
                         load_model_checkpoint, topk_error, train_teacher)
 
 SGD = SgdConfig(lr0=0.05, momentum=0.9, weight_decay=1e-4)
@@ -94,7 +97,7 @@ def test_zero_learning_rate_freezes_training(tiny_data, tiny_specs, tmp_path):
     res = train_teacher(student, train, val,
                         SgdConfig(lr0=0.0, momentum=0.9, weight_decay=0.0),
                         SCHED, epochs=3, seed=0, out_dir=tmp_path, batch_size=32)
-    net, _, _, _, _ = load_model_checkpoint(res.final_ckpt)
+    net, _ = load_model_checkpoint(res.final_ckpt)
     fresh = build_network(student, seed=res.state.model_seed)
     for (name, a), (_, b) in zip(net.parameters(), fresh.parameters()):
         assert a.data.tobytes() == b.data.tobytes(), name
@@ -114,8 +117,8 @@ def test_distill_with_all_terms_off_equals_plain_ce(tiny_data, tiny_specs, tmp_p
                    out_dir=tmp_path / "ce_distill", batch_size=32)
     pres = train_teacher(student, train, val, SGD, SCHED, epochs=2, seed=9,
                          out_dir=tmp_path / "ce_plain", batch_size=32)
-    net_a, _, _, _, _ = load_model_checkpoint(dres.final_ckpt)
-    net_b, _, _, _, _ = load_model_checkpoint(pres.final_ckpt)
+    net_a, _ = load_model_checkpoint(dres.final_ckpt)
+    net_b, _ = load_model_checkpoint(pres.final_ckpt)
     for (name, a), (_, b) in zip(net_a.parameters(), net_b.parameters()):
         assert a.data.tobytes() == b.data.tobytes(), name
     assert strip_wall(dres.csv_path.read_text())[1:] == \
@@ -147,7 +150,7 @@ def test_distill_keeps_teacher_frozen_and_moves_student(tiny_data, tiny_specs, t
                    EdtParams(alpha=1.0, lam=0.5, n_decay=5), epochs=1, seed=6,
                    out_dir=tmp_path / "student", batch_size=32)
     assert tres.final_ckpt.read_bytes() == teacher_bytes   # file untouched
-    net, _, _, _, _ = load_model_checkpoint(dres.final_ckpt)
+    net, _ = load_model_checkpoint(dres.final_ckpt)
     fresh = build_network(student, seed=dres.state.model_seed)
     moved = any(a.data.tobytes() != b.data.tobytes()
                 for (_, a), (_, b) in zip(net.parameters(), fresh.parameters()))
@@ -193,7 +196,8 @@ def test_distill_tap_count_mismatch_rejected(tiny_data, tmp_path, monkeypatch):
 def test_resume_refuses_adapters_that_do_not_fit_the_run(tiny_data, tiny_specs, tmp_path,
                                                          monkeypatch):
     """A checkpoint whose adapters are not the ones the run's taps and CD
-    switch need is refused, naming it, before any teacher forward."""
+    switch need is refused, naming it, the section, the field and both
+    values, before any teacher forward."""
     train, val = tiny_data
     teacher_spec, student = tiny_specs
     cd = DistillConfig(alpha=1.0, lam=0.5, gkd_enabled=True, n_decay=5)
@@ -203,6 +207,7 @@ def test_resume_refuses_adapters_that_do_not_fit_the_run(tiny_data, tiny_specs, 
                               out_dir=tmp_path / f"t{k}", batch_size=32).final_ckpt
                 for k, spec in enumerate((teacher_spec,
                                           NetworkSpec.from_channels([6, 8], num_classes=4)))]
+    crc = [load_model_checkpoint(t)[0].checksum() for t in teachers]
 
     def run(teacher_ckpt, cfg, tag, resume_from=None):
         return distill(teacher_ckpt, student, train, val, cfg, SGD, SCHED, edt,
@@ -217,14 +222,61 @@ def test_resume_refuses_adapters_that_do_not_fit_the_run(tiny_data, tiny_specs, 
     with_cd = run(teachers[0], cd, "cd")
     calls = count_teacher_forwards(monkeypatch)
     for tag, ckpt, teacher_ckpt, cfg, why in (
-            ("ce-as-cd", scratch, teachers[0], cd, "checkpoint has adapters"),
-            ("other-taps", with_cd, teachers[1], cd, "checkpoint has adapters"),
-            ("cd-off", with_cd, teachers[0], gkd, "checkpoint has adapters"),
+            ("ce-as-cd", scratch, teachers[0], cd, "[distill] alpha = 0, this run 1"),
+            ("other-taps", with_cd, teachers[1], cd,
+             f"[teacher] checksum = {crc[0]}, this run {crc[1]}"),
+            ("cd-off", with_cd, teachers[0], gkd, "[distill] alpha = 1, this run 0"),
             ("other-arch", other_arch, teachers[0], gkd,
-             "checkpoint has [arch.model] channels = 4,8, this run 4,6")):
-        with pytest.raises(ValueError, match=f"{re.escape(str(ckpt))}: {re.escape(why)}"):
+             "[arch.model] channels = 4,8, this run 4,6")):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{ckpt}: checkpoint has {why}')}$"):
             run(teacher_ckpt, cfg, tag, resume_from=ckpt)
     assert calls == []
+
+
+def test_resume_refuses_another_teacher_or_other_hyperparameters(tiny_data, tiny_specs,
+                                                                 tmp_path, monkeypatch):
+    """A resume under another teacher with the same taps, or with other optim,
+    schedule or EDT values, is refused before any teacher forward; a value
+    spelled with other digits is the same value and is not refused."""
+    train, val = tiny_data
+    teacher_spec, student = tiny_specs
+    cd = DistillConfig(alpha=1.0, lam=0.5, gkd_enabled=True, n_decay=5)
+    teachers = [train_teacher(teacher_spec, train, val, SGD, SCHED, epochs=1, seed=seed,
+                              out_dir=tmp_path / f"t{seed}", batch_size=32).final_ckpt
+                for seed in (0, 1)]
+    crc = [load_model_checkpoint(t)[0].checksum() for t in teachers]
+    assert crc[0] != crc[1]
+
+    def run(tag, teacher_ckpt=teachers[0], sgd=SGD, sched=SCHED, edt=EdtParams(1.0, 0.5, 5),
+            epochs=1, resume_from=None):
+        return distill(teacher_ckpt, student, train, val, cd, sgd, sched, edt,
+                       epochs=epochs, seed=1, out_dir=tmp_path / tag, batch_size=32,
+                       resume_from=resume_from).final_ckpt
+
+    first = run("first")
+    calls = count_teacher_forwards(monkeypatch)
+    for tag, kwargs, why in (
+            ("other-teacher", dict(teacher_ckpt=teachers[1]),
+             f"[teacher] checksum = {crc[0]}, this run {crc[1]}"),
+            ("lr0", dict(sgd=SgdConfig(lr0=0.1, momentum=0.9, weight_decay=1e-4)),
+             "[optim] lr0 = 0.05, this run 0.1"),
+            ("milestones", dict(sched=LrSchedule(milestones=(40,), factor=0.1)),
+             "[schedule] milestones = 50, this run 40"),
+            ("edt-lam", dict(edt=EdtParams(1.0, 0.7, 5)), "[edt] lam = 0.5, this run 0.7")):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'{first}: checkpoint has {why}')}$"):
+            run(tag, epochs=2, resume_from=first, **kwargs)
+    assert calls == []
+
+    header, tensors = load_checkpoint(first)
+    means = header.split("means = ")[1].split("\n")[0]
+    longer = ",".join(repr(float(np.float32(v))) for v in means.split(","))
+    assert longer != means
+    respelled = tmp_path / "respelled.ckpt"
+    save_checkpoint(respelled, header.replace("lr0 = 0.05", "lr0 = 5.000e-2")
+                    .replace(means, longer), tensors)
+    resumed = run("respelled", epochs=2, resume_from=respelled)
+    assert resumed.read_bytes() == run("whole", epochs=2).read_bytes()
 
 
 def test_runs_that_would_train_no_epoch_are_refused(tiny_data, tiny_specs, tmp_path):
@@ -268,10 +320,18 @@ def test_distill_refuses_teacher_with_other_normalization(tiny_data, tiny_specs,
     tres = train_teacher(teacher_spec, train, val, SGD, SCHED, epochs=1, seed=0,
                          out_dir=tmp_path / "t", batch_size=32)
     name = re.escape(str(tres.final_ckpt))
+
+    def differ(key, theirs, ours):
+        return re.escape(f" has [normalize] {key} = {format_value(theirs)}, "
+                         f"this run {format_value(ours)}")
+
+    run_stats = Normalization(means, stds)
     calls = count_teacher_forwards(monkeypatch)
-    with pytest.raises(ValueError, match=f"{name}: teacher normalizes channel 1 with mean"):
+    with pytest.raises(ValueError, match=f"{name}: teacher" + differ(
+            "means", run_stats.means, Normalization(shifted, stds).means)):
         run(tres.final_ckpt, "a", AugmentConfig(shifted, stds))
-    with pytest.raises(ValueError, match=f"{name}: teacher normalizes channel 2 with std"):
+    with pytest.raises(ValueError, match=f"{name}: teacher" + differ(
+            "stds", run_stats.stds, Normalization(means, wide).stds)):
         run(tres.final_ckpt, "b", AugmentConfig(means, wide))
     assert calls == []
 
@@ -283,11 +343,13 @@ def test_distill_refuses_teacher_with_other_normalization(tiny_data, tiny_specs,
                           aug_cfg=AugmentConfig(shifted, stds))
     calls.clear()
     first_name = re.escape(str(first.final_ckpt))
-    with pytest.raises(ValueError,
-                       match=f"{first_name}: checkpoint normalizes channel 1 with mean"):
+    shifted_stats = Normalization(shifted, stds)
+    with pytest.raises(ValueError, match=f"{first_name}: checkpoint" + differ(
+            "means", run_stats.means, shifted_stats.means)):
         run(other.final_ckpt, "d", AugmentConfig(shifted, stds), epochs=2,
             resume_from=first.final_ckpt)
-    with pytest.raises(ValueError, match="teacher normalizes channel 1 with mean"):
+    with pytest.raises(ValueError, match=differ("means", shifted_stats.means,
+                                                run_stats.means)):
         run(other.final_ckpt, "e", None, epochs=2, resume_from=first.final_ckpt)
     assert calls == []
 
@@ -372,7 +434,7 @@ def test_best_checkpoint_tracks_lowest_val_error(tiny_data, tiny_specs, tmp_path
     res = train_teacher(student, train, val, SGD, SCHED, epochs=3, seed=1,
                         out_dir=tmp_path, batch_size=32)
     assert res.best_ckpt.exists() and res.final_ckpt.exists()
-    _, _, best_state, _, _ = load_model_checkpoint(res.best_ckpt)
+    best_state = load_model_checkpoint(res.best_ckpt)[1]["state"]
     rows = res.csv_path.read_text().strip().split("\n")[1:]
     val_errs = [float(r.split(",")[9]) for r in rows]
     assert best_state.best_val_top1 == pytest.approx(min(val_errs), abs=1e-9)
@@ -501,4 +563,44 @@ def test_distill_resumed_from_last_ckpt_matches_uninterrupted(uneven_run, tiny_s
     assert calls == live_teacher_calls(train, resumed.state.shuffle_seed, range(2, 4))
     assert strip_wall(resumed.csv_path.read_text()) == strip_wall(full.csv_path.read_text())
     for name in ("final.ckpt", "best.ckpt"):
+        assert run_dir_bytes(resumed, name) == run_dir_bytes(full, name), name
+
+
+def test_crash_while_writing_last_ckpt_resumes_to_the_uninterrupted_run(uneven_run, tiny_specs,
+                                                                        tmp_path, monkeypatch):
+    """The write of epoch 2's last.ckpt fails partway: every .ckpt left is
+    whole, last.ckpt still holds epoch 1's end, and a resume from it ends
+    with the uninterrupted run's bytes."""
+    train, val, teacher_ckpt = uneven_run
+    _, student = tiny_specs
+
+    def run(out_dir, resume_from=None):
+        return distill(teacher_ckpt, student, train, val, DISTILL_CFGS["cd+gkd"], SGD,
+                       SCHED, EdtParams(1.0, 0.5, 2), epochs=4, seed=5,
+                       out_dir=out_dir, batch_size=CACHE_BATCH, resume_from=resume_from)
+
+    full = run(tmp_path / "full")
+    real_write = Path.write_bytes
+    last_writes = []
+
+    def write_cut_short(self, data):
+        if self.name.startswith("last.ckpt"):
+            last_writes.append(self.name)
+            if len(last_writes) == 3:
+                real_write(self, data[:len(data) // 2])
+                raise OSError("no space left on device")
+        return real_write(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", write_cut_short)
+    crashed = tmp_path / "run"
+    with pytest.raises(OSError, match="no space left"):
+        run(crashed)
+    monkeypatch.undo()
+    assert {p.name for p in crashed.iterdir()} == {"metrics.csv", "best.ckpt", "last.ckpt"}
+    for ckpt in crashed.glob("*.ckpt"):
+        load_checkpoint(ckpt)                  # CRC-valid: whole
+    assert load_model_checkpoint(crashed / "last.ckpt")[1]["state"].epoch == 2
+    resumed = run(crashed, resume_from=crashed / "last.ckpt")
+    assert strip_wall(resumed.csv_path.read_text()) == strip_wall(full.csv_path.read_text())
+    for name in ("final.ckpt", "best.ckpt", "last.ckpt"):
         assert run_dir_bytes(resumed, name) == run_dir_bytes(full, name), name
