@@ -112,7 +112,8 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"{ckpt}: model has {net.spec.num_classes} classes, but "
                           f"{args.config or f'<preset:{args.preset}>'} [data] has "
                           f"{val_ds.class_count}")
-    metrics = evaluate(net, val_ds, records["normalize"].means, records["normalize"].stds)
+    metrics = evaluate(net, val_ds, records["normalize"].means, records["normalize"].stds,
+                       cfg.data.batch_size)
     print(f"top-1 error {metrics.top1_error:.4f}%")
     print(f"top-5 error {metrics.top5_error:.4f}%")
     return 0

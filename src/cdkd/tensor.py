@@ -3,7 +3,8 @@
 The graph is built define-by-run: every op that sees a gradient-requiring
 input records its parents and a vector-Jacobian closure on the output
 tensor. ``backward`` walks the recorded ops once, in reverse topological
-order, accumulating into ``.grad`` buffers.
+order, accumulating into the leaves' ``.grad`` buffers and releasing each
+op's closure as it passes.
 
 Numeric contract:
   * data and gradients are float32 (tests may build float64 tensors so the
@@ -382,16 +383,16 @@ def softened_softmax(logits: Tensor, temperature: float) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every gradient-requiring tensor reachable from loss.
+    """Populate .grad on every gradient-requiring leaf reachable from loss.
 
     Gradients accumulate additively across uses and across calls on
-    distinct graphs; re-running backward on the same loss raises.
+    distinct graphs. The walk consumes the graph: once an op's vjp has
+    fired, its output drops the vjp (and the buffers it saved), its parents
+    and its .grad, so each op's memory is freed as backward passes it. Only
+    leaves keep .grad. A later backward that reaches a consumed op raises.
     """
     if loss.data.size != 1:
         raise AutodiffError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if loss._backward_ran:
-        raise AutodiffError("backward: already ran on this tensor; rebuild the graph first")
-    loss._backward_ran = True
     if not loss.requires_grad:
         return
     # iterative post-order DFS: inputs always precede the ops that use them
@@ -405,6 +406,10 @@ def backward(loss: Tensor) -> None:
             continue
         if node.node_id in visited:
             continue
+        if node._backward_ran:
+            raise AutodiffError(
+                f"backward: already ran through the op that made a tensor of shape "
+                f"{node.shape} (node {node.node_id}); rebuild the graph first")
         visited.add(node.node_id)
         stack.append((node, True))
         for parent in node._parents:
@@ -413,6 +418,10 @@ def backward(loss: Tensor) -> None:
     loss._accum(np.ones_like(loss.data))
     # reverse topological order: a node's full upstream gradient is in place
     # before its own vjp runs, so each recorded op fires exactly once
-    for node in reversed(order):
-        if node._vjp is not None and node.grad is not None:
-            node._vjp(node.grad)
+    while order:
+        node = order.pop()
+        if node._vjp is not None:
+            if node.grad is not None:
+                node._vjp(node.grad)
+            node._vjp, node._parents, node.grad = None, (), None
+            node._backward_ran = True

@@ -78,8 +78,10 @@ def topk_error(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
 
 
 def evaluate(net: Network, ds: Dataset, means: np.ndarray, stds: np.ndarray,
-             batch_size: int = 256) -> Metrics:
-    """Deterministic evaluation: unshuffled, normalization only, no augmentation."""
+             batch_size: int) -> Metrics:
+    """Deterministic evaluation: unshuffled, normalization only, no augmentation.
+    Run in the training batch size, it builds no larger buffer than a step;
+    a row's logits do not depend on the other rows of a batch of two or more."""
     if ds.class_count != net.spec.num_classes:
         raise ValueError(f"dataset has {ds.class_count} classes, model expects "
                          f"{net.spec.num_classes}")
@@ -111,15 +113,26 @@ class Normalization:
 
 
 @dataclass
+class DataSettings:
+    """What a run's batches are made of, the header's [data]: the batch
+    size, the augmentation and the train split's length."""
+    batch_size: int
+    pad: int
+    random_crop: bool
+    hflip_prob: float
+    rows: int
+
+
+@dataclass
 class TeacherId:
     """The frozen teacher a distill run loaded, the header's [teacher]."""
     checksum: int
 
 
 # header section -> its record, in header order; only [edt] and [teacher] may be absent
-RECORDS = {"arch.model": NetworkSpec, "normalize": Normalization, "optim": SgdConfig,
-           "schedule": LrSchedule, "distill": DistillConfig, "edt": EdtParams,
-           "teacher": TeacherId, "state": TrainState}
+RECORDS = {"arch.model": NetworkSpec, "normalize": Normalization, "data": DataSettings,
+           "optim": SgdConfig, "schedule": LrSchedule, "distill": DistillConfig,
+           "edt": EdtParams, "teacher": TeacherId, "state": TrainState}
 
 
 def _read_checkpoint(path):
@@ -213,6 +226,8 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
 
     # the run's header records; a resume must find the same values in its checkpoint
     records = {"arch.model": spec, "normalize": Normalization(means, stds),
+               "data": DataSettings(batch_size, aug_cfg.pad, aug_cfg.random_crop,
+                                    aug_cfg.hflip_prob, len(train_ds)),
                "optim": sgd_cfg, "schedule": sched, "distill": distill_cfg}
     if edt is not None:
         records["edt"] = edt
@@ -285,6 +300,9 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
         if old[:1] == [list(CSV_COLUMNS)]:
             csv_lines += [",".join(r) for r in old[1:] if len(r) == len(CSV_COLUMNS)
                           and r[0].isdigit() and int(r[0]) < state.epoch]
+    # written once; each epoch then appends its row as one whole line, so a
+    # run cut short leaves the rows of the epochs it finished
+    csv_path.write_text("\n".join(csv_lines) + "\n")
     last_val = Metrics(float("nan"), float("nan"))
 
     records["state"] = state     # the header's last section, as of each save
@@ -357,15 +375,15 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
             state.global_step += 1
 
         state.epoch = epoch + 1
-        last_val = evaluate(net, val_ds, means, stds)
+        last_val = evaluate(net, val_ds, means, stds, plan.batch_size)
         train_top1 = 100.0 * (1.0 - n_correct_train / n_seen)
         row = [epoch, lr, w_edt,
                sums[0] / n_seen, sums[1] / n_seen, sums[2] / n_seen, sums[3] / n_seen,
                n_correct_teacher / n_seen, train_top1,
                last_val.top1_error, last_val.top5_error,
                time.perf_counter() - t_epoch]
-        csv_lines.append(",".join(format_value(v) for v in row))
-        csv_path.write_text("\n".join(csv_lines) + "\n")
+        with csv_path.open("a") as f:
+            f.write(",".join(format_value(v) for v in row) + "\n")
         if last_val.top1_error < state.best_val_top1:
             state.best_val_top1 = last_val.top1_error
             save("best.ckpt")

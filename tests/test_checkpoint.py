@@ -13,7 +13,7 @@ from cdkd.data import channel_stats
 from cdkd.kvtext import parse_record, parse_sections
 from cdkd.losses import DistillConfig
 from cdkd.optim import EdtParams, LrSchedule, SgdConfig
-from cdkd.train import (RECORDS, Normalization, TeacherId, TrainState, distill,
+from cdkd.train import (RECORDS, DataSettings, Normalization, TeacherId, TrainState, distill,
                         load_model_checkpoint, train_teacher)
 
 
@@ -183,6 +183,7 @@ def test_header_sections_read_back_to_the_records_written(run_ckpt, tiny_data, t
         secs = parse_sections(header, run, CheckpointError)
         assert "None" not in header and "adapters" not in secs
         expected = {"arch.model": spec, "normalize": Normalization(means, stds),
+                    "data": DataSettings(32, 0, False, 0.0, len(train)),
                     "optim": sgd, "schedule": sched, **extra}
         assert list(secs) == [s for s in RECORDS if s in {**expected, "state": 0}]
         for sec, record in expected.items():

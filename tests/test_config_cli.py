@@ -301,10 +301,13 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
     arch = "channels = 4,6\nnum_classes = 4\nblocks = 1,1\ndownsample = 0,1\n"
     assert arch in header
     old_format = header.replace(arch, "stages = 1x4,1x6d\nnum_classes = 4\n")
+    no_data = re.sub(r"\[data\]\n[^[]*", "", header)   # as written before [data] existed
+    assert no_data != header
     short_table = dict(tensors)
     short_table.pop("fc.b")
     for name, head, table, why in (("no-arch.ckpt", no_arch, tensors, "'arch.model'"),
                                    ("old-format.ckpt", old_format, tensors, "'channels'"),
+                                   ("no-data.ckpt", no_data, tensors, "'data'"),
                                    ("no-fc-b.ckpt", header, short_table, "'fc.b'")):
         path = tmp_path / name
         save_checkpoint(path, head, table)     # CRC-valid, contents incomplete

@@ -122,6 +122,45 @@ def test_backward_twice_rejected():
         backward(loss)
 
 
+def test_backward_through_a_consumed_graph_rejected():
+    """A second backward that reaches an op the first one consumed raises
+    before it adds anything; without the check x.grad would read 10, not 8."""
+    x = Tensor([1.0], requires_grad=True)
+    h = x * 2
+    backward(h.sum())
+    with pytest.raises(AutodiffError, match=r"already ran .* shape \(1,\)"):
+        backward((h * 3).sum())
+    np.testing.assert_array_equal(x.grad, [2.0])
+    backward(((x * 2) * 3).sum())          # the rebuilt graph adds its 6
+    np.testing.assert_array_equal(x.grad, [8.0])
+
+
+def test_backward_consumes_the_graph_and_leaves_keep_grads():
+    """Every op output backward passes drops its vjp (and the buffers it
+    saved), its parents and its .grad; every leaf keeps its gradient."""
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(3, 2, 6, 6)).astype(np.float32), requires_grad=True)
+    k = Tensor(rng.normal(size=(4, 2, 3, 3)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)).astype(np.float32), requires_grad=True)
+    b = Tensor(np.zeros(5, np.float32), requires_grad=True)
+    feat = global_avg_pool(conv2d(x, k, padding=1).relu())
+    p = softened_softmax(add_bias(feat @ w, b), 2.0)
+    loss = (p.log() * Tensor(rng.random((3, 5)).astype(np.float32))).mean()
+    ops, leaves, stack = {}, {}, [loss]
+    while stack:
+        node = stack.pop()
+        if node.node_id in ops or node.node_id in leaves:
+            continue
+        (ops if node._vjp is not None else leaves)[node.node_id] = node
+        stack.extend(node._parents)
+    assert len(ops) == 9 and len(leaves) == 5
+    backward(loss)
+    for node in ops.values():
+        assert node._vjp is None and node.grad is None and node._parents == ()
+    for node in leaves.values():
+        assert (node.grad is not None) == node.requires_grad
+
+
 def test_gradients_accumulate_across_uses():
     x = Tensor([1.0, 2.0], requires_grad=True)
     backward(((x + x) + x).sum())
@@ -221,13 +260,14 @@ def test_tape_topological_order():
             ops[node.node_id] = node
             stack.extend(node._parents)
     fired = []
+    parents = {nid: node._parents for nid, node in ops.items()}   # backward drops them
     for node in ops.values():
         node._vjp = lambda g, n=node, f=node._vjp: (fired.append(n.node_id), f(g))
     backward(z)
     assert sorted(fired) == sorted(ops)
     pos = {nid: i for i, nid in enumerate(fired)}
     for node in ops.values():
-        for parent in node._parents:
+        for parent in parents[node.node_id]:
             if parent.node_id in pos:
                 assert pos[node.node_id] < pos[parent.node_id]
     np.testing.assert_allclose(x.grad, [6.0])     # d/dx (x^3 + x^2 + x) at 1

@@ -75,7 +75,22 @@ def test_evaluate_class_count_mismatch(tiny_data):
     train, val = tiny_data
     net = build_network(NetworkSpec.from_channels([4, 6], num_classes=9), seed=0)
     with pytest.raises(ValueError, match="classes"):
-        evaluate(net, val, np.zeros(3, np.float32), np.ones(3, np.float32))
+        evaluate(net, val, np.zeros(3, np.float32), np.ones(3, np.float32), 32)
+
+
+def test_fit_evaluates_in_the_run_batch_size(tiny_data, tiny_specs, tmp_path, monkeypatch):
+    train, val = tiny_data
+    sizes = []
+    real = cdkd.train.evaluate
+
+    def spy(net, ds, means, stds, batch_size):
+        sizes.append(batch_size)
+        return real(net, ds, means, stds, batch_size)
+
+    monkeypatch.setattr(cdkd.train, "evaluate", spy)
+    train_teacher(tiny_specs[1], train, val, SGD, SCHED, epochs=2, seed=0, out_dir=tmp_path,
+                  batch_size=8)
+    assert sizes == [8, 8]
 
 
 # -- training loop basics ---------------------------------------------------------
@@ -235,9 +250,9 @@ def test_resume_refuses_adapters_that_do_not_fit_the_run(tiny_data, tiny_specs, 
 
 def test_resume_refuses_another_teacher_or_other_hyperparameters(tiny_data, tiny_specs,
                                                                  tmp_path, monkeypatch):
-    """A resume under another teacher with the same taps, or with other optim,
-    schedule or EDT values, is refused before any teacher forward; a value
-    spelled with other digits is the same value and is not refused."""
+    """A resume under another teacher with the same taps, or with other data,
+    optim, schedule or EDT values, is refused before any teacher forward; a
+    value spelled with other digits is the same value and is not refused."""
     train, val = tiny_data
     teacher_spec, student = tiny_specs
     cd = DistillConfig(alpha=1.0, lam=0.5, gkd_enabled=True, n_decay=5)
@@ -248,10 +263,10 @@ def test_resume_refuses_another_teacher_or_other_hyperparameters(tiny_data, tiny
     assert crc[0] != crc[1]
 
     def run(tag, teacher_ckpt=teachers[0], sgd=SGD, sched=SCHED, edt=EdtParams(1.0, 0.5, 5),
-            epochs=1, resume_from=None):
+            epochs=1, resume_from=None, batch_size=32, aug_cfg=None):
         return distill(teacher_ckpt, student, train, val, cd, sgd, sched, edt,
-                       epochs=epochs, seed=1, out_dir=tmp_path / tag, batch_size=32,
-                       resume_from=resume_from).final_ckpt
+                       epochs=epochs, seed=1, out_dir=tmp_path / tag, batch_size=batch_size,
+                       aug_cfg=aug_cfg, resume_from=resume_from).final_ckpt
 
     first = run("first")
     calls = count_teacher_forwards(monkeypatch)
@@ -262,11 +277,19 @@ def test_resume_refuses_another_teacher_or_other_hyperparameters(tiny_data, tiny
              "[optim] lr0 = 0.05, this run 0.1"),
             ("milestones", dict(sched=LrSchedule(milestones=(40,), factor=0.1)),
              "[schedule] milestones = 50, this run 40"),
-            ("edt-lam", dict(edt=EdtParams(1.0, 0.7, 5)), "[edt] lam = 0.5, this run 0.7")):
+            ("edt-lam", dict(edt=EdtParams(1.0, 0.7, 5)), "[edt] lam = 0.5, this run 0.7"),
+            ("batch-size", dict(batch_size=8), "[data] batch_size = 32, this run 8"),
+            ("hflip", dict(aug_cfg=AugmentConfig(*channel_stats(train), hflip_prob=0.5)),
+             "[data] hflip_prob = 0, this run 0.5")):
         with pytest.raises(ValueError,
                            match=f"^{re.escape(f'{first}: checkpoint has {why}')}$"):
             run(tag, epochs=2, resume_from=first, **kwargs)
     assert calls == []
+    # a teacher resumed under another batch size would not replay its run
+    why = "[data] batch_size = 32, this run 8"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{teachers[0]}: checkpoint has {why}')}$"):
+        train_teacher(teacher_spec, train, val, SGD, SCHED, epochs=2, seed=0,
+                      out_dir=tmp_path / "t0-batch-8", batch_size=8, resume_from=teachers[0])
 
     header, tensors = load_checkpoint(first)
     means = header.split("means = ")[1].split("\n")[0]
@@ -397,6 +420,52 @@ def test_resume_into_own_out_dir_keeps_earlier_rows(tiny_data, tiny_specs, tmp_p
                   batch_size=32)
     resumed = train_teacher(student, train, val, SGD, SCHED, epochs=4, seed=13,
                             out_dir=run, batch_size=32, resume_from=run / "last.ckpt")
+    assert strip_wall(resumed.csv_path.read_text()) == strip_wall(full.csv_path.read_text())
+    assert resumed.final_ckpt.read_bytes() == full.final_ckpt.read_bytes()
+
+
+def test_run_cut_short_leaves_whole_csv_rows_and_resumes(tiny_data, tiny_specs, tmp_path,
+                                                         monkeypatch):
+    """metrics.csv is written once, then appended a whole row per epoch: a
+    run cut short in epoch 2 leaves the header and two whole rows, and its
+    resume ends with the uninterrupted run's file."""
+    train, val = tiny_data                 # 96 rows: three steps of 32 an epoch
+    _, student = tiny_specs
+
+    def run(out_dir, resume_from=None):
+        return train_teacher(student, train, val, SGD, SCHED, epochs=4, seed=13,
+                             out_dir=out_dir, batch_size=32, resume_from=resume_from)
+
+    full = run(tmp_path / "full")
+    real_backward, real_write = cdkd.train.backward, Path.write_text
+    steps, csv_writes = [], []
+
+    class Cut(Exception):
+        pass
+
+    def cut_in_epoch_2(loss):
+        steps.append(1)
+        if len(steps) == 2 * 3 + 2:
+            raise Cut
+        return real_backward(loss)
+
+    def counted_write(self, *args, **kwargs):
+        if self.name == "metrics.csv":
+            csv_writes.append(self)
+        return real_write(self, *args, **kwargs)
+
+    monkeypatch.setattr(cdkd.train, "backward", cut_in_epoch_2)
+    monkeypatch.setattr(Path, "write_text", counted_write)
+    crashed = tmp_path / "run"
+    with pytest.raises(Cut):
+        run(crashed)
+    monkeypatch.undo()
+    assert len(csv_writes) == 1                # the header; the rows were appended
+    text = (crashed / "metrics.csv").read_text()
+    assert text.endswith("\n")
+    assert strip_wall(text) == strip_wall(full.csv_path.read_text())[:3]
+    assert all(len(line.split(",")) == len(CSV_COLUMNS) for line in text.splitlines())
+    resumed = run(crashed, resume_from=crashed / "last.ckpt")
     assert strip_wall(resumed.csv_path.read_text()) == strip_wall(full.csv_path.read_text())
     assert resumed.final_ckpt.read_bytes() == full.final_ckpt.read_bytes()
 
