@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on the validation split")
     _add_run_args(p, needs_config=False)
     p.add_argument("--ckpt", help="checkpoint to evaluate")
-    p.add_argument("--teacher-ckpt", help="alias for --ckpt (teacher evaluation)")
 
     p = sub.add_parser("gradcheck", help="run the oracle and finite-difference suite")
     p.add_argument("--seed", type=int, default=0)
@@ -101,15 +100,14 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ckpt = args.ckpt or args.teacher_ckpt
-    if not ckpt:
-        raise ConfigError("eval needs --ckpt (or --teacher-ckpt)")
+    if not args.ckpt:
+        raise ConfigError("eval needs --ckpt")
     cfg = load_config(path=args.config, preset=args.preset, seed=args.seed,
                       out_dir=args.out_dir)
     _, val_ds = load_datasets(cfg.data)
-    net, records = load_model_checkpoint(ckpt)
+    net, records = load_model_checkpoint(args.ckpt)
     if val_ds.class_count != net.spec.num_classes:
-        raise ConfigError(f"{ckpt}: model has {net.spec.num_classes} classes, but "
+        raise ConfigError(f"{args.ckpt}: model has {net.spec.num_classes} classes, but "
                           f"{args.config or f'<preset:{args.preset}>'} [data] has "
                           f"{val_ds.class_count}")
     metrics = evaluate(net, val_ds, records["normalize"].means, records["normalize"].stds,

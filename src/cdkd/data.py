@@ -12,9 +12,8 @@ small CNN to exceed 90% accuracy yet non-trivial under limited capacity.
 
 from __future__ import annotations
 
-import json
+import zlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -51,6 +50,11 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.images)
+
+    def checksum(self) -> int:
+        """CRC-32 over the image bytes, then the label bytes, read in place."""
+        return zlib.crc32(np.ascontiguousarray(self.labels, np.int64),
+                          zlib.crc32(np.ascontiguousarray(self.images, np.float32)))
 
 
 @dataclass
@@ -112,16 +116,6 @@ def load_cifar_binary(path, variant: str, split: str = "train") -> Dataset:
             f"{path}: label byte {labels.max()} out of range for {variant}")
     images = pixels.reshape(-1, *_CIFAR_SHAPE).astype(np.float32) / 255.0
     return Dataset(images=images, labels=labels, class_count=class_count, split=split)
-
-
-def write_cifar10(path, pixels_u8: np.ndarray, labels) -> None:
-    """Round-trip writer for CIFAR-10 layout records (testing and export)."""
-    labels = np.asarray(labels, dtype=np.uint8)
-    if pixels_u8.shape[1:] != _CIFAR_SHAPE or pixels_u8.dtype != np.uint8:
-        raise ValueError(f"expected uint8 [N,3,32,32], got {pixels_u8.shape} {pixels_u8.dtype}")
-    recs = np.concatenate(
-        [labels[:, None], pixels_u8.reshape(len(pixels_u8), -1)], axis=1)
-    recs.astype(np.uint8).tofile(str(path))
 
 
 def synthetic_templates(classes: int, image_size: int, seed: int) -> np.ndarray:
@@ -199,10 +193,11 @@ def augment_batch(batch: np.ndarray, cfg: AugmentConfig,
     return normalize(out, cfg.channel_means, cfg.channel_stds)
 
 
-def batch_indices(ds: Dataset, plan: BatchPlan, epoch: int,
-                  shuffle: Optional[bool] = None) -> Iterator[np.ndarray]:
-    """Sample indices of each batch; the order is a pure function of
-    (shuffle_seed, epoch), and only the last batch may be short.
+def iterate_batches(ds: Dataset, plan: BatchPlan, epoch: int,
+                    shuffle: Optional[bool] = None
+                    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Deterministic (indices, images, labels) batches. The order is a pure
+    function of (shuffle_seed, epoch), and only the last batch may be short.
 
     Training splits shuffle by default, validation splits never do.
     """
@@ -215,42 +210,5 @@ def batch_indices(ds: Dataset, plan: BatchPlan, epoch: int,
     else:
         order = np.arange(n)
     for start in range(0, n, plan.batch_size):
-        yield order[start:start + plan.batch_size]
-
-
-def iterate_batches(ds: Dataset, plan: BatchPlan, epoch: int,
-                    shuffle: Optional[bool] = None) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Deterministic (images, labels) batches, in batch_indices order."""
-    for idx in batch_indices(ds, plan, epoch, shuffle):
-        yield ds.images[idx], ds.labels[idx]
-
-
-def export_synthetic(ds: Dataset, path, meta: dict) -> None:
-    """Write a synthetic dataset in the CIFAR-10 record layout plus a JSON
-    sidecar {classes, per_class, image_size, seed} describing its provenance."""
-    path = Path(path)
-    n, c, h, w = ds.images.shape
-    pixels = np.round(ds.images * 255.0).astype(np.uint8)
-    recs = np.concatenate(
-        [ds.labels.astype(np.uint8)[:, None], pixels.reshape(n, -1)], axis=1)
-    recs.tofile(str(path))
-    sidecar = {"classes": int(ds.class_count), "per_class": int(n // ds.class_count),
-               "image_size": int(h), **meta}
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, sort_keys=True))
-
-
-def load_synthetic(path, split: str = "train") -> Dataset:
-    """Read back an exported synthetic dataset using its sidecar dimensions."""
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    size = sidecar["image_size"]
-    classes = sidecar["classes"]
-    record = 1 + SYNTHETIC_CHANNELS * size * size
-    raw = np.fromfile(str(path), dtype=np.uint8)
-    if raw.size == 0 or raw.size % record:
-        raise DataFormatError(
-            f"{path}: length {raw.size} is not a multiple of the {record}-byte record")
-    recs = raw.reshape(-1, record)
-    labels = recs[:, 0].astype(np.int64)
-    images = recs[:, 1:].reshape(-1, SYNTHETIC_CHANNELS, size, size).astype(np.float32) / 255.0
-    return Dataset(images=images, labels=labels, class_count=classes, split=split)
+        idx = order[start:start + plan.batch_size]
+        yield idx, ds.images[idx], ds.labels[idx]

@@ -14,12 +14,12 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from . import oracle
-from .losses import cd_loss, ce_loss, channel_weights, gkd_loss, kd_loss, total_loss
-from .models import (NetworkSpec, adapt_channels, build_network, forward_with_taps,
-                     freeze, make_adapter)
+from .losses import DistillConfig, cd_loss, ce_loss, channel_weights, gkd_loss, kd_loss
+from .models import NetworkSpec, build_network, forward_with_taps, freeze, make_adapter
 from .optim import EdtParams, edt_weight
 from .tensor import (Tensor, add_bias, backward, conv2d, global_avg_pool,
                      softened_softmax)
+from .train import batch_objective
 
 GRAD_TOL = 1e-3
 VALUE_TOL = 1e-5
@@ -191,8 +191,9 @@ def grad_reports(seed: int = 0, cases: int = 20) -> List[OracleReport]:
 
 
 def composite_grad_reports(seed: int = 0) -> List[OracleReport]:
-    """The complete CD + GKD + CE objective on a 2-sample toy batch,
-    differentiated through student parameters and the channel adapter."""
+    """The training objective, ``train.batch_objective`` with CD + GKD + CE,
+    on a 2-sample toy batch, differentiated through student parameters and
+    the channel adapter."""
     rng = np.random.default_rng(seed)
     t_spec = NetworkSpec.from_channels([4, 8], num_classes=3, input_channels=2)
     s_spec = NetworkSpec.from_channels([3, 4], num_classes=3, input_channels=2)
@@ -202,15 +203,13 @@ def composite_grad_reports(seed: int = 0) -> List[OracleReport]:
     x = Tensor(rng.uniform(0, 1, size=(2, 2, 8, 8)).astype(np.float32))
     labels = np.array([0, 2])
     w_edt = edt_weight(EdtParams(alpha=0.7, lam=0.5, n_decay=10), epoch=5)
+    cfg = DistillConfig(temperature=4.0, alpha=0.7, gkd_enabled=True)
+    t_logits, t_taps = forward_with_taps(teacher, x)
+    t_gaps = [channel_weights(t) for t in t_taps]
 
     def objective() -> Tensor:
-        t_logits, t_taps = forward_with_taps(teacher, x)
-        s_logits, s_taps = forward_with_taps(student, x)
-        cd_terms = [cd_loss(channel_weights(adapt_channels(adapter, s_taps[0])),
-                            channel_weights(t_taps[0]))]
-        gkd, _ = gkd_loss(s_logits, t_logits, labels, 4.0)
-        bd = total_loss(cd_terms, gkd, ce_loss(s_logits, labels), w_edt)
-        return bd.objective
+        return batch_objective(student, [adapter], x, labels, t_logits, t_gaps, cfg,
+                               w_edt)[0].objective
 
     def zero_all():
         for _, p in student.parameters():

@@ -145,11 +145,6 @@ def build_network(spec: NetworkSpec, seed: int) -> Network:
     return Network(spec, params, blocks)
 
 
-def parameter_count(spec: NetworkSpec) -> int:
-    net = build_network(spec, seed=0)
-    return sum(p.data.size for _, p in net.parameters())
-
-
 def forward_with_taps(net: Network, batch: Tensor):
     """Run the network, returning (logits, taps at each downsampling stage).
 
@@ -178,11 +173,6 @@ def forward_with_taps(net: Network, batch: Tensor):
     pooled = global_avg_pool(x)
     logits = add_bias(pooled @ net.params["fc.w"], net.params["fc.b"])
     return logits, taps
-
-
-def forward(net: Network, batch: Tensor) -> Tensor:
-    logits, _ = forward_with_taps(net, batch)
-    return logits
 
 
 def _forward_block(net: Network, blk: _BlockShape, x: Tensor, residual: bool) -> Tensor:

@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import (AugmentConfig, BatchPlan, Dataset, augment_batch, batch_indices,
-                   channel_stats, iterate_batches, normalize)
+from .data import (AugmentConfig, BatchPlan, Dataset, augment_batch, channel_stats,
+                   iterate_batches, normalize)
 from .kvtext import emit_sections, format_record, format_value, parse_record, parse_sections
 from .losses import (DistillConfig, LossBreakdown, cd_loss, ce_loss, channel_weights,
                      gkd_loss, kd_loss, teacher_correct_mask, total_loss)
@@ -89,7 +89,7 @@ def evaluate(net: Network, ds: Dataset, means: np.ndarray, stds: np.ndarray,
     plan = BatchPlan(batch_size=batch_size, shuffle_seed=0)
     all_logits = []
     with no_grad():
-        for imgs, _ in iterate_batches(ds, plan, epoch=0, shuffle=False):
+        for _, imgs, _ in iterate_batches(ds, plan, epoch=0, shuffle=False):
             logits, _ = forward_with_taps(net, Tensor(normalize(imgs, means, stds)))
             all_logits.append(logits.data)
     logits = np.concatenate(all_logits, axis=0)
@@ -115,12 +115,12 @@ class Normalization:
 @dataclass
 class DataSettings:
     """What a run's batches are made of, the header's [data]: the batch
-    size, the augmentation and the train split's length."""
+    size, the augmentation and the train split's ``Dataset.checksum``."""
     batch_size: int
     pad: int
     random_crop: bool
     hflip_prob: float
-    rows: int
+    crc: int
 
 
 @dataclass
@@ -211,6 +211,28 @@ class _TeacherTargets:
         self.filled[idx] = True
 
 
+def batch_objective(net: Network, adapters: List[Optional[Tensor]], x: Tensor,
+                    labels: np.ndarray, t_logits: Optional[Tensor], t_gaps: List[Tensor],
+                    cfg: DistillConfig, w_edt: float):
+    """The objective of one batch, edt_weight * CD + GKD (or KD) + CE, for the
+    student ``net`` against the teacher's logits and the GAP vector of each of
+    its taps: (breakdown, teacher-correct count, student logits, student taps).
+    Each student tap gets a CD term through its adapter (``None``: identity),
+    so with no adapters there is no CD term."""
+    s_logits, s_taps = forward_with_taps(net, x)
+    cd_terms = [cd_loss(channel_weights(adapt_channels(kernel, tap)), wt)
+                for kernel, wt, tap in zip(adapters, t_gaps, s_taps)]
+    gkd_term = None
+    cnt = 0
+    if cfg.gkd_enabled:
+        gkd_term, cnt = gkd_loss(s_logits, t_logits, labels, cfg.temperature, cfg.kd_t_squared)
+    elif cfg.plain_kd_fallback:
+        gkd_term = kd_loss(s_logits, t_logits, cfg.temperature, cfg.kd_t_squared)
+        cnt = int(teacher_correct_mask(t_logits, labels).sum())
+    bd = total_loss(cd_terms, gkd_term, ce_loss(s_logits, labels), w_edt)
+    return bd, cnt, s_logits, s_taps
+
+
 def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConfig,
          sched: LrSchedule, epochs: int, seed: int, out_dir,
          distill_cfg: DistillConfig,
@@ -227,14 +249,13 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
     # the run's header records; a resume must find the same values in its checkpoint
     records = {"arch.model": spec, "normalize": Normalization(means, stds),
                "data": DataSettings(batch_size, aug_cfg.pad, aug_cfg.random_crop,
-                                    aug_cfg.hflip_prob, len(train_ds)),
+                                    aug_cfg.hflip_prob, train_ds.checksum()),
                "optim": sgd_cfg, "schedule": sched, "distill": distill_cfg}
     if edt is not None:
         records["edt"] = edt
 
     cd_on = distill_cfg.alpha > 0.0
-    gkd_on, kd_on = distill_cfg.gkd_enabled, distill_cfg.plain_kd_fallback
-    need_teacher = cd_on or gkd_on or kd_on
+    need_teacher = cd_on or distill_cfg.gkd_enabled or distill_cfg.plain_kd_fallback
     if need_teacher and teacher_ckpt is None:
         raise ValueError("distillation terms active but no teacher provided")
 
@@ -323,11 +344,10 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
         n_seen = 0
         n_correct_teacher = 0
         n_correct_train = 0
-        for (imgs, labels), idx in zip(iterate_batches(train_ds, plan, epoch),
-                                       batch_indices(train_ds, plan, epoch)):
+        for idx, imgs, labels in iterate_batches(train_ds, plan, epoch):
             x = Tensor(augment_batch(imgs, aug_cfg, aug_rng))
             bs = len(labels)
-            t_logits = t_gaps = None
+            t_logits, t_gaps = None, []
             if need_teacher:
                 full = cache is not None and bs == plan.batch_size
                 targets = cache.get(idx) if full else None
@@ -338,24 +358,10 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
                     if full:
                         cache.put(idx, targets)
                 t_logits, t_gaps = targets[0], targets[1:]
-            s_logits, s_taps = forward_with_taps(net, x)
-
-            cd_terms: List[Tensor] = []
-            if cd_on:
-                for kernel, wt, st_ in zip(adapters, t_gaps, s_taps):
-                    cd_terms.append(cd_loss(channel_weights(adapt_channels(kernel, st_)), wt))
-            gkd_term = None
-            cnt = 0
-            if gkd_on:
-                gkd_term, cnt = gkd_loss(s_logits, t_logits, labels,
-                                         distill_cfg.temperature, distill_cfg.kd_t_squared)
-            elif kd_on:
-                gkd_term = kd_loss(s_logits, t_logits, distill_cfg.temperature,
-                                   distill_cfg.kd_t_squared)
-                cnt = int(teacher_correct_mask(t_logits, labels).sum())
-            ce_term = ce_loss(s_logits, labels)
-
-            bd = total_loss(cd_terms, gkd_term, ce_term, w_edt)
+            # s_taps stays bound until the next step's objective returns: freed before
+            # backward, glibc trims the heap top and each teacher step faults ~3,400 pages
+            bd, cnt, s_logits, s_taps = batch_objective(net, adapters, x, labels, t_logits,
+                                                        t_gaps, distill_cfg, w_edt)
             if not np.isfinite(bd.total):
                 _dump_diagnostic(out_dir, state, epoch, lr, bd)
                 raise NonFiniteLossError(

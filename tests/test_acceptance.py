@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from cdkd.checkpoint import load_checkpoint, save_checkpoint
-from cdkd.data import (DataFormatError, load_cifar_binary, make_synthetic,
-                       write_cifar10)
+from cdkd.data import DataFormatError, load_cifar_binary, make_synthetic
 from cdkd.gradcheck import composite_grad_reports, grad_reports, value_reports
 from cdkd.losses import (DistillConfig, cd_loss, gkd_loss,
                          kd_loss)
@@ -244,7 +243,8 @@ def test_criterion_8_format_fidelity(tiny_data, tiny_specs, tmp_path):
         pixels = rng.integers(0, 256, size=(3, 3, 32, 32), dtype=np.uint8)
         labels = np.array([1, 5, 9], dtype=np.uint8)
         cpath = tmp_path / "cifar.bin"
-        write_cifar10(cpath, pixels, labels)
+        # CIFAR-10 records: a label byte, then the 3072 pixel bytes
+        np.concatenate([labels[:, None], pixels.reshape(3, -1)], axis=1).tofile(str(cpath))
         ds = load_cifar_binary(cpath, "cifar10")
         assert np.array_equal(ds.labels, labels)
         assert np.array_equal(ds.images, pixels.astype(np.float32) / 255.0)

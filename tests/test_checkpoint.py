@@ -183,7 +183,7 @@ def test_header_sections_read_back_to_the_records_written(run_ckpt, tiny_data, t
         secs = parse_sections(header, run, CheckpointError)
         assert "None" not in header and "adapters" not in secs
         expected = {"arch.model": spec, "normalize": Normalization(means, stds),
-                    "data": DataSettings(32, 0, False, 0.0, len(train)),
+                    "data": DataSettings(32, 0, False, 0.0, train.checksum()),
                     "optim": sgd, "schedule": sched, **extra}
         assert list(secs) == [s for s in RECORDS if s in {**expected, "state": 0}]
         for sec, record in expected.items():

@@ -287,6 +287,9 @@ def test_readme_header_sections_are_the_ones_distill_writes(cli_run):
 def test_cli_errors_exit_nonzero(tmp_path, capsys):
     assert main(["eval", "--config", str(tmp_path / "missing.conf"),
                  "--ckpt", "nope.ckpt"]) == 2
+    capsys.readouterr()
+    assert main(["eval", "--preset", "cifar-recipe"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == ["error: eval needs --ckpt"]
     bad = tmp_path / "bad.conf"
     bad.write_text("[optim]\nlearning_rat = 0.1\n")
     assert main(["train-teacher", "--config", str(bad)]) == 2
@@ -303,11 +306,14 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
     old_format = header.replace(arch, "stages = 1x4,1x6d\nnum_classes = 4\n")
     no_data = re.sub(r"\[data\]\n[^[]*", "", header)   # as written before [data] existed
     assert no_data != header
+    rows_data = re.sub(r"(?m)^crc = \d+$", "rows = 96", header)  # before [data] crc existed
+    assert rows_data != header
     short_table = dict(tensors)
     short_table.pop("fc.b")
     for name, head, table, why in (("no-arch.ckpt", no_arch, tensors, "'arch.model'"),
                                    ("old-format.ckpt", old_format, tensors, "'channels'"),
                                    ("no-data.ckpt", no_data, tensors, "'data'"),
+                                   ("rows-data.ckpt", rows_data, tensors, "'crc'"),
                                    ("no-fc-b.ckpt", header, short_table, "'fc.b'")):
         path = tmp_path / name
         save_checkpoint(path, head, table)     # CRC-valid, contents incomplete

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from cdkd.data import (AugmentConfig, BatchPlan, DataFormatError, augment_batch,
-                       batch_indices, channel_stats, export_synthetic, iterate_batches,
-                       load_cifar_binary, load_synthetic, make_synthetic, normalize,
-                       synthetic_templates, write_cifar10, CIFAR100_RECORD)
+                       channel_stats, iterate_batches, load_cifar_binary, make_synthetic,
+                       normalize, synthetic_templates, CIFAR100_RECORD)
+
+
+def write_cifar10(path, pixels_u8: np.ndarray, labels) -> None:
+    """CIFAR-10 layout records: a label byte, then the 3072 pixel bytes."""
+    labels = np.asarray(labels, dtype=np.uint8)
+    assert pixels_u8.shape[1:] == (3, 32, 32) and pixels_u8.dtype == np.uint8
+    np.concatenate([labels[:, None], pixels_u8.reshape(len(pixels_u8), -1)],
+                   axis=1).tofile(str(path))
 
 
 def test_cifar10_round_trip(tmp_path):
@@ -155,17 +162,17 @@ def test_channel_stats_shapes():
 def test_batches_are_pure_function_of_seed_and_epoch():
     ds = make_synthetic(4, 10, 8, seed=2)
     plan = BatchPlan(batch_size=8, shuffle_seed=9)
-    a = [lab.tolist() for _, lab in iterate_batches(ds, plan, epoch=3)]
-    b = [lab.tolist() for _, lab in iterate_batches(ds, plan, epoch=3)]
+    a = [lab.tolist() for _, _, lab in iterate_batches(ds, plan, epoch=3)]
+    b = [lab.tolist() for _, _, lab in iterate_batches(ds, plan, epoch=3)]
     assert a == b
-    c = [lab.tolist() for _, lab in iterate_batches(ds, plan, epoch=4)]
+    c = [lab.tolist() for _, _, lab in iterate_batches(ds, plan, epoch=4)]
     assert a != c
 
 
 def test_every_sample_once_per_epoch_without_drop_last():
     ds = make_synthetic(2, 5, 8, seed=3)
     plan = BatchPlan(batch_size=4, shuffle_seed=0)
-    seen = np.concatenate([img.sum(axis=(1, 2, 3)) for img, _ in
+    seen = np.concatenate([img.sum(axis=(1, 2, 3)) for _, img, _ in
                            iterate_batches(ds, plan, epoch=1)])
     assert len(seen) == 10
     np.testing.assert_allclose(np.sort(seen), np.sort(ds.images.sum(axis=(1, 2, 3))),
@@ -176,10 +183,10 @@ def test_batches_are_the_rows_at_batch_indices():
     ds = make_synthetic(3, 7, 8, seed=5)
     plan = BatchPlan(batch_size=4, shuffle_seed=2)
     batches = list(iterate_batches(ds, plan, epoch=2))
-    indices = list(batch_indices(ds, plan, epoch=2))
+    indices = [idx for idx, _, _ in batches]
     assert [len(i) for i in indices] == [4, 4, 4, 4, 4, 1]
     np.testing.assert_array_equal(np.sort(np.concatenate(indices)), np.arange(len(ds)))
-    for (imgs, labels), idx in zip(batches, indices, strict=True):
+    for idx, imgs, labels in batches:
         assert imgs.tobytes() == ds.images[idx].tobytes()
         np.testing.assert_array_equal(labels, ds.labels[idx])
 
@@ -187,21 +194,6 @@ def test_batches_are_the_rows_at_batch_indices():
 def test_validation_split_iterates_unshuffled():
     ds = make_synthetic(2, 6, 8, seed=4, split="val")
     plan = BatchPlan(batch_size=5, shuffle_seed=123)
-    labels = np.concatenate([lab for _, lab in iterate_batches(ds, plan, epoch=0)])
+    labels = np.concatenate([lab for _, _, lab in iterate_batches(ds, plan, epoch=0)])
     np.testing.assert_array_equal(labels, ds.labels)
 
-
-# -- synthetic export ----------------------------------------------------------
-
-
-def test_export_synthetic_round_trip(tmp_path):
-    ds = make_synthetic(4, 6, 32, seed=8)
-    path = tmp_path / "synth.bin"
-    export_synthetic(ds, path, meta={"seed": 8})
-    assert path.stat().st_size == len(ds) * 3073   # CIFAR-10 record layout
-    back = load_synthetic(path)
-    assert back.class_count == 4
-    np.testing.assert_array_equal(back.labels, ds.labels)
-    # uint8 quantization round-trips exactly (same decode arithmetic as the loader)
-    expected = np.round(ds.images * 255).astype(np.uint8).astype(np.float32) / 255.0
-    np.testing.assert_array_equal(back.images, expected)

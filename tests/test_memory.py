@@ -4,6 +4,10 @@ builds more than the step's own memory. Peaks are numpy's allocations as
 tracemalloc sees them, measured on the benchmark's 12-24-48 teacher at
 batch 32 and 16x16 inputs."""
 
+import platform
+import resource
+import statistics
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +15,7 @@ import pytest
 
 import cdkd.train
 from cdkd.data import BatchPlan, iterate_batches, make_synthetic, normalize
+from cdkd.gradcheck import composite_grad_reports
 from cdkd.losses import ce_loss
 from cdkd.models import NetworkSpec, build_network, forward_with_taps
 from cdkd.optim import LrSchedule, SgdConfig
@@ -65,7 +70,7 @@ def test_evaluation_batch_size_moves_no_bit(trained, val):
         with no_grad():
             return np.concatenate([
                 forward_with_taps(net, Tensor(normalize(imgs, m, s)))[0].data
-                for imgs, _ in iterate_batches(val, BatchPlan(batch_size, 0), 0)])
+                for _, imgs, _ in iterate_batches(val, BatchPlan(batch_size, 0), 0)])
 
     small, large = logits(BATCH), logits(256)
     assert small.shape == (800, 8)
@@ -102,3 +107,48 @@ def test_evaluation_peaks_below_a_training_step(tmp_path, val, monkeypatch):
     train_teacher(TEACHER, train, val, SgdConfig(lr0=0.02), LrSchedule((10,), 0.2),
                   epochs=1, seed=1, out_dir=tmp_path, batch_size=BATCH)
     assert len(peaks) == 1 and peaks[0] <= step_peak, (peaks, step_peak)
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="measures glibc's heap trimming through Linux page-fault counts")
+def test_teacher_steps_fault_no_pages_back_in(tmp_path, val, monkeypatch):
+    """The benchmark's teacher workload for two epochs: after the first, a
+    step takes (in the median) no minor page faults. Freed before backward,
+    the student taps let glibc trim the heap top after each step, and the
+    next step faults ~3,430 pages back in."""
+    faults = []
+    real = cdkd.train.backward
+
+    def counted(loss):
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        return real(loss)
+
+    monkeypatch.setattr(cdkd.train, "backward", counted)
+    train = make_synthetic(8, 200, 16, seed=0, split="train")     # 50 steps an epoch
+    train_teacher(TEACHER, train, val, SgdConfig(lr0=0.02, momentum=0.9, weight_decay=5e-4),
+                  LrSchedule((12,), 0.2), epochs=2, seed=1, out_dir=tmp_path,
+                  batch_size=BATCH)
+    assert len(faults) == 100
+    deltas = [b - a for a, b in zip(faults[50:], faults[51:])]
+    assert statistics.median(deltas) < 100, deltas
+
+
+def test_composite_gradcheck_runs_the_training_objective(monkeypatch):
+    """The full-objective finite-difference check differentiates the
+    objective the fit loop trains on: its CD and GKD terms are the ones
+    ``train`` looks up."""
+    calls = []
+
+    def spy(name):
+        real = getattr(cdkd.train, name)
+
+        def called(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return called
+
+    for name in ("cd_loss", "gkd_loss"):
+        monkeypatch.setattr(cdkd.train, name, spy(name))
+    reports = composite_grad_reports(0)
+    assert all(r.passed for r in reports)
+    assert calls.count("cd_loss") == calls.count("gkd_loss") > 0

@@ -6,7 +6,7 @@ import pytest
 
 import cdkd.train
 from cdkd.checkpoint import load_checkpoint, save_checkpoint
-from cdkd.data import (AugmentConfig, BatchPlan, Dataset, batch_indices, channel_stats,
+from cdkd.data import (AugmentConfig, BatchPlan, Dataset, channel_stats, iterate_batches,
                        make_synthetic)
 from cdkd.kvtext import format_value
 from cdkd.losses import DistillConfig, cd_loss, channel_weights
@@ -290,6 +290,14 @@ def test_resume_refuses_another_teacher_or_other_hyperparameters(tiny_data, tiny
     with pytest.raises(ValueError, match=f"^{re.escape(f'{teachers[0]}: checkpoint has {why}')}$"):
         train_teacher(teacher_spec, train, val, SGD, SCHED, epochs=2, seed=0,
                       out_dir=tmp_path / "t0-batch-8", batch_size=8, resume_from=teachers[0])
+    # nor resumed onto another split of the same length, under the first one's stats
+    other = make_synthetic(4, 24, 8, seed=8, split="train")
+    assert len(other) == len(train)
+    why = f"[data] crc = {train.checksum()}, this run {other.checksum()}"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{teachers[0]}: checkpoint has {why}')}$"):
+        train_teacher(teacher_spec, other, val, SGD, SCHED, epochs=2, seed=0,
+                      out_dir=tmp_path / "t0-seed-8", batch_size=32,
+                      aug_cfg=AugmentConfig(*channel_stats(train)), resume_from=teachers[0])
 
     header, tensors = load_checkpoint(first)
     means = header.split("means = ")[1].split("\n")[0]
@@ -538,7 +546,7 @@ def live_teacher_calls(train, shuffle_seed, epochs):
     held = np.zeros(len(train), dtype=bool)
     calls = []
     for epoch in epochs:
-        for idx in batch_indices(train, plan, epoch):
+        for idx, _, _ in iterate_batches(train, plan, epoch):
             full = len(idx) == CACHE_BATCH
             if not (full and held[idx].all()):
                 calls.append(len(idx))
