@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, load_config, load_datasets, snapshot_text
+from .config import ConfigError, load_config, load_dataset, snapshot_text
 from .data import AugmentConfig, channel_stats
 from .plotting import write_metrics_svg
 from .train import distill, evaluate, load_model_checkpoint, train_teacher
@@ -62,7 +62,7 @@ def _prepare(args, need_model: str):
     model = getattr(cfg, need_model)
     if model is None:
         raise ConfigError(f"missing [model.{need_model}] section")
-    train_ds, val_ds = load_datasets(cfg.data)
+    train_ds, val_ds = (load_dataset(cfg.data, split) for split in ("train", "val"))
     means, stds = channel_stats(train_ds)
     aug = AugmentConfig(channel_means=means, channel_stds=stds, pad=cfg.data.pad,
                         random_crop=cfg.data.random_crop,
@@ -104,7 +104,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError("eval needs --ckpt")
     cfg = load_config(path=args.config, preset=args.preset, seed=args.seed,
                       out_dir=args.out_dir)
-    _, val_ds = load_datasets(cfg.data)
+    val_ds = load_dataset(cfg.data, "val")
     net, records = load_model_checkpoint(args.ckpt)
     if val_ds.class_count != net.spec.num_classes:
         raise ConfigError(f"{args.ckpt}: model has {net.spec.num_classes} classes, but "

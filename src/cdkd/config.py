@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple, get_type_hints
+from typing import Dict, Mapping, Optional, get_type_hints
 
 from .data import Dataset, load_cifar_binary, make_synthetic
 from .kvtext import emit_sections, format_value, parse_sections
@@ -264,7 +264,11 @@ def load_config(path=None, preset: Optional[str] = None,
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
-        sections = merge_sections(sections, parse_kv_text(p.read_text(), origin=str(p)))
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{p}: {exc}") from None
+        sections = merge_sections(sections, parse_kv_text(text, origin=str(p)))
     if not sections:
         raise ConfigError("no configuration given: pass --config and/or --preset")
     if seed is not None:
@@ -280,14 +284,11 @@ def load_config(path=None, preset: Optional[str] = None,
     return cfg
 
 
-def load_datasets(data: DataSection) -> Tuple[Dataset, Dataset]:
+def load_dataset(data: DataSection, split: str) -> Dataset:
+    """The configured dataset's ``split``, "train" or "val"; only that split is built."""
+    train = split == "train"
     if data.source == "synthetic":
-        train = make_synthetic(data.classes, data.per_class_train, data.image_size,
-                               data.data_seed, split="train")
-        val = make_synthetic(data.classes, data.per_class_val, data.image_size,
-                             data.data_seed, split="val")
-        return train, val
-    variant = data.source
-    train = load_cifar_binary(data.path, variant, split="train")
-    val = load_cifar_binary(data.val_path, variant, split="val")
-    return train, val
+        return make_synthetic(data.classes,
+                              data.per_class_train if train else data.per_class_val,
+                              data.image_size, data.data_seed, split=split)
+    return load_cifar_binary(data.path if train else data.val_path, data.source, split=split)

@@ -8,7 +8,9 @@ backward pass.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -53,12 +55,8 @@ def _grad_report(case_id: str, f: Callable[[Tensor], Tensor], x0: np.ndarray,
     """Analytic gradient of f at x0 (float32 engine) vs float64 central FD."""
     x = Tensor(np.asarray(x0, dtype=np.float32), requires_grad=True)
     backward(f(x))
-    analytic = np.asarray(x.grad, dtype=np.float64)
     fd = oracle.finite_diff_grad(lambda arr: f(Tensor(arr)).item(), x0, step)
-    diff = analytic - fd
-    rel = _rel(diff, analytic, fd)
-    return OracleReport(case_id=case_id, max_abs_diff=float(np.max(np.abs(diff))),
-                        max_rel_diff=rel, passed=rel <= GRAD_TOL)
+    return _report(case_id, x.grad, fd, GRAD_TOL)
 
 
 # -- value checks against the loop oracles ------------------------------------
@@ -207,38 +205,19 @@ def composite_grad_reports(seed: int = 0) -> List[OracleReport]:
     t_logits, t_taps = forward_with_taps(teacher, x)
     t_gaps = [channel_weights(t) for t in t_taps]
 
-    def objective() -> Tensor:
-        return batch_objective(student, [adapter], x, labels, t_logits, t_gaps, cfg,
+    def objective(name: str, t: Tensor) -> Tensor:
+        """The objective as a function of the one parameter ``name``: ``t`` takes
+        its place among the student's parameters or in the adapter list."""
+        net, adapters = student, [t]
+        if name != "adapter0.w":
+            net, adapters = copy.copy(student), [adapter]
+            net.params = {**student.params, name: t}
+        return batch_objective(net, adapters, x, labels, t_logits, t_gaps, cfg,
                                w_edt)[0].objective
 
-    def zero_all():
-        for _, p in student.parameters():
-            p.zero_grad()
-        adapter.zero_grad()
-
-    targets = [("grad/composite/" + n, student.params[n])
-               for n in ("s0b0.conv1", "fc.w")]
-    targets.append(("grad/composite/adapter0.w", adapter))
-
-    reports = []
-    for case_id, p in targets:
-        zero_all()
-        backward(objective())
-        analytic = np.asarray(p.grad, dtype=np.float64)
-        orig = p.data
-
-        def f(arr, p=p, orig=orig):
-            p.data = arr
-            try:
-                return objective().item()
-            finally:
-                p.data = orig
-        fd = oracle.finite_diff_grad(f, orig, step=1e-3)
-        diff = analytic - fd
-        rel = _rel(diff, analytic, fd)
-        reports.append(OracleReport(case_id, float(np.max(np.abs(diff))), rel,
-                                    rel <= GRAD_TOL))
-    return reports
+    cases = [(n, student.params[n].data) for n in ("s0b0.conv1", "fc.w")]
+    return [_grad_report("grad/composite/" + n, partial(objective, n), x0)
+            for n, x0 in cases + [("adapter0.w", adapter.data)]]
 
 
 def run_all(seed: int = 0, grad_cases: int = 20, value_cases: int = 50

@@ -9,6 +9,7 @@ emitted per epoch (decimated only beyond 25 epochs).
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Dict, List, Sequence
 
@@ -26,21 +27,29 @@ class CsvFormatError(ValueError):
 
 
 def read_metrics_csv(path) -> Dict[str, List[float]]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in ("epoch", *_COLORS)
-                   if name not in (reader.fieldnames or ())]
-        if missing:
-            raise CsvFormatError(f"{path}: not a metrics CSV (no {', '.join(missing)} "
-                                 f"column)")
-        cols: Dict[str, List[float]] = {name: [] for name in reader.fieldnames}
-        for row in reader:
-            for name in cols:
-                try:
-                    cols[name].append(float(row[name]))
-                except (TypeError, ValueError):
-                    raise CsvFormatError(
-                        f"{path}: bad value {row[name]!r} in column {name}") from None
+    """Each column as finite floats; anything else, undecodable bytes and
+    over-long fields included, is a CsvFormatError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [name for name in ("epoch", *_COLORS)
+                       if name not in (reader.fieldnames or ())]
+            if missing:
+                raise CsvFormatError(f"{path}: not a metrics CSV (no {', '.join(missing)} "
+                                     f"column)")
+            cols: Dict[str, List[float]] = {name: [] for name in reader.fieldnames}
+            for row in reader:
+                for name in cols:
+                    try:
+                        value = float(row[name])
+                    except (TypeError, ValueError):
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise CsvFormatError(
+                            f"{path}: bad value {row[name]!r} in column {name}")
+                    cols[name].append(value)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise CsvFormatError(f"{path}: {exc}") from None
     if not cols["epoch"]:
         raise CsvFormatError(f"{path}: no data rows")
     return cols

@@ -87,6 +87,7 @@ class Tensor:
         out.grad = None
         out.node_id = next(_node_counter)
         out._backward_ran = False
+        # the one place a vjp is kept: a one-parent vjp can trust its parent needs grad
         if _grad_enabled[0] and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -114,15 +115,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Same values, cut from the graph; gradients never flow through."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out.node_id = next(_node_counter)
-        out._parents = ()
-        out._vjp = None
-        out._backward_ran = False
-        return out
+        return Tensor._from_op(self.data, (), None)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -163,8 +156,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def vjp(g, a=self):
-            if a.requires_grad:
-                a._accum(-g)
+            a._accum(-g)
         return Tensor._from_op(-self.data, (self,), vjp)
 
     def __sub__(self, other) -> "Tensor":
@@ -179,8 +171,7 @@ class Tensor:
     def __rsub__(self, other) -> "Tensor":
         od, _ = self._coerce(other, "sub")
         def vjp(g, a=self):
-            if a.requires_grad:
-                a._accum(-g)
+            a._accum(-g)
         return Tensor._from_op(od - self.data, (self,), vjp)
 
     def __mul__(self, other) -> "Tensor":
@@ -197,8 +188,7 @@ class Tensor:
     def relu(self) -> "Tensor":
         mask = self.data > 0
         def vjp(g, a=self, m=mask):
-            if a.requires_grad:
-                a._accum(g * m)
+            a._accum(g * m)
         return Tensor._from_op(self.data * mask, (self,), vjp)
 
     def log(self) -> "Tensor":
@@ -206,35 +196,30 @@ class Tensor:
         # derivative of log(max(x, eps)): zero on the clamped branch
         live = self.data >= LOG_EPS
         def vjp(g, a=self, c=clamped, m=live):
-            if a.requires_grad:
-                a._accum(g * m / c)
+            a._accum(g * m / c)
         return Tensor._from_op(np.log(clamped), (self,), vjp)
 
     def square(self) -> "Tensor":
         def vjp(g, a=self):
-            if a.requires_grad:
-                a._accum(g * (2.0 * a.data))
+            a._accum(g * (2.0 * a.data))
         return Tensor._from_op(self.data * self.data, (self,), vjp)
 
     def sum(self) -> "Tensor":
         def vjp(g, a=self):
-            if a.requires_grad:
-                a._accum(np.broadcast_to(g, a.shape))
+            a._accum(np.broadcast_to(g, a.shape))
         return Tensor._from_op(self.data.sum(), (self,), vjp)
 
     def mean(self) -> "Tensor":
         n = self.data.size
         def vjp(g, a=self, inv=1.0 / n):
-            if a.requires_grad:
-                a._accum(np.broadcast_to(g * inv, a.shape))
+            a._accum(np.broadcast_to(g * inv, a.shape))
         return Tensor._from_op(self.data.mean(), (self,), vjp)
 
     def astype(self, dtype) -> "Tensor":
         """Dtype cast; gradients cast back on the way down. Used to combine
         scalar loss terms in float64 so decomposition identities hold tightly."""
         def vjp(g, a=self):
-            if a.requires_grad:
-                a._accum(g)
+            a._accum(g)
         return Tensor._from_op(self.data.astype(dtype), (self,), vjp)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
@@ -358,8 +343,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ShapeError(f"global_avg_pool: empty spatial extent {h}x{w}")
     inv = 1.0 / (h * w)
     def vjp(g, a=x, inv=inv):
-        if a.requires_grad:
-            a._accum(np.broadcast_to((g * inv)[:, :, None, None], a.shape))
+        a._accum(np.broadcast_to((g * inv)[:, :, None, None], a.shape))
     return Tensor._from_op(x.data.mean(axis=(2, 3)), (x,), vjp)
 
 
@@ -376,9 +360,8 @@ def softened_softmax(logits: Tensor, temperature: float) -> Tensor:
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
     def vjp(g, a=logits, p=p, inv_t=1.0 / temperature):
-        if a.requires_grad:
-            inner = (g * p).sum(axis=1, keepdims=True)
-            a._accum(p * (g - inner) * inv_t)
+        inner = (g * p).sum(axis=1, keepdims=True)
+        a._accum(p * (g - inner) * inv_t)
     return Tensor._from_op(p, (logits,), vjp)
 
 

@@ -45,10 +45,7 @@ class NonFiniteLossError(RuntimeError):
 class TrainState:
     epoch: int = 0                       # epochs completed so far
     global_step: int = 0
-    model_seed: int = 0
-    shuffle_seed: int = 0
-    augment_seed: int = 0
-    adapter_seed: int = 0
+    seed: int = 0                        # the run's root seed; each stream derives from it
     best_val_top1: float = float("inf")
 
 
@@ -242,6 +239,10 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
          edt: Optional[EdtParams] = None,
          resume_from=None) -> TrainResult:
     out_dir = Path(out_dir)
+    for split, ds in (("train", train_ds), ("val", val_ds)):
+        if ds.class_count != spec.num_classes:
+            raise ValueError(f"{split} split has {ds.class_count} classes, model expects "
+                             f"{spec.num_classes}")
     if aug_cfg is None:
         aug_cfg = AugmentConfig(*channel_stats(train_ds))
     means, stds = aug_cfg.channel_means, aug_cfg.channel_stds
@@ -282,17 +283,17 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
         theirs, tensors = _read_checkpoint(resume_from)
         state = theirs.pop("state")
         _refuse_other(resume_from, "checkpoint", theirs, records)
+        if state.seed != seed:
+            raise ValueError(f"{resume_from}: checkpoint has [state] seed = {state.seed}, "
+                             f"this run {seed}")
     else:
-        state = TrainState(model_seed=derive(seed, "model"),
-                           shuffle_seed=derive(seed, "shuffle"),
-                           augment_seed=derive(seed, "augment"),
-                           adapter_seed=derive(seed, "adapters"))
+        state = TrainState(seed=seed)
     if epochs <= state.epoch:    # would write checkpoints but no metrics.csv row
         done = f"{resume_from}: checkpoint is at epoch {state.epoch}, so " if resume_from else ""
         raise ValueError(f"{done}epochs = {epochs} leaves no epoch to train")
 
-    net = build_network(spec, seed=state.model_seed)
-    arng = np.random.default_rng(state.adapter_seed)
+    net = build_network(spec, seed=derive(seed, "model"))
+    arng = np.random.default_rng(derive(seed, "adapters"))
     adapters = [make_adapter(cs, ct, arng)
                 for cs, ct in zip(spec.tap_channels, teacher.spec.tap_channels)] if cd_on else []
     adapter_named = [(f"adapter{i}.w", k) for i, k in enumerate(adapters) if k is not None]
@@ -306,7 +307,7 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
     out_dir.mkdir(parents=True, exist_ok=True)
 
     teacher_crc = records["teacher"].checksum if teacher is not None else None
-    plan = BatchPlan(batch_size=batch_size, shuffle_seed=state.shuffle_seed)
+    plan = BatchPlan(batch_size=batch_size, shuffle_seed=derive(seed, "shuffle"))
     # a teacher row's bits do not depend on the other rows of a full batch,
     # but a short last batch can be one row, whose bits differ: short
     # batches always run the live teacher and never touch the cache
@@ -339,7 +340,7 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
         lr = lr_at_epoch(sched, sgd_cfg.lr0, epoch)
         # the decay weight only ever multiplies the CD term; log what is applied
         w_edt = edt_weight(edt, epoch) if cd_on else 0.0
-        aug_rng = np.random.default_rng(derive_epoch(state.augment_seed, epoch))
+        aug_rng = np.random.default_rng(derive_epoch(derive(seed, "augment"), epoch))
         sums = np.zeros(4)    # total, cd, gkd, ce, sample-weighted
         n_seen = 0
         n_correct_teacher = 0
@@ -437,11 +438,17 @@ def distill(teacher_ckpt, student_spec: NetworkSpec, train_ds: Dataset,
     The teacher is loaded frozen; only student and adapter parameters enter
     the optimizer. Refused with ValueError before the first step: a teacher
     whose tap count, class count, input channels or normalization stats
-    differ from the run's, CD on nets without taps, and a resume checkpoint
-    with a header record that differs from the run's. With alpha=0 and both
-    logit terms disabled this reduces, bit for bit, to plain cross-entropy
-    training of the student.
+    differ from the run's, CD on nets without taps, with CD on an ``edt``
+    whose alpha, lam or n_decay contradict ``distill_cfg`` (an n_decay of
+    None there accepts any), and a resume checkpoint with a header record
+    that differs from the run's. With alpha=0 and both logit terms disabled
+    this reduces, bit for bit, to plain cross-entropy training of the student.
     """
+    if distill_cfg.alpha > 0.0:
+        for key in ("alpha", "lam", "n_decay"):
+            want, got = getattr(distill_cfg, key), getattr(edt, key)
+            if want is not None and got != want:
+                raise ValueError(f"DistillConfig has {key} = {want}, EdtParams {got}")
     return _fit(student_spec, train_ds, val_ds, sgd_cfg, sched, epochs, seed,
                 out_dir, distill_cfg, batch_size=batch_size, aug_cfg=aug_cfg,
                 teacher_ckpt=teacher_ckpt, edt=edt, resume_from=resume_from)

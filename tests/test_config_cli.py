@@ -1,13 +1,17 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cdkd.cli import main
 from cdkd.checkpoint import load_checkpoint, save_checkpoint
 from cdkd.config import (PRESETS, SCHEMA, ConfigError, build_config, load_config,
                          parse_kv_text, preset_sections, snapshot_text)
-from cdkd.train import RECORDS
+from cdkd.models import NetworkSpec, build_network
+from cdkd.train import CSV_COLUMNS, RECORDS
 
 TINY_CONFIG = """
 [model.teacher]
@@ -308,12 +312,16 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
     assert no_data != header
     rows_data = re.sub(r"(?m)^crc = \d+$", "rows = 96", header)  # before [data] crc existed
     assert rows_data != header
+    sub_seeds = re.sub(r"(?m)^seed = \d+$", "model_seed = 1\nshuffle_seed = 2\n"
+                       "augment_seed = 3\nadapter_seed = 4", header)  # before [state] seed
+    assert sub_seeds != header
     short_table = dict(tensors)
     short_table.pop("fc.b")
     for name, head, table, why in (("no-arch.ckpt", no_arch, tensors, "'arch.model'"),
                                    ("old-format.ckpt", old_format, tensors, "'channels'"),
                                    ("no-data.ckpt", no_data, tensors, "'data'"),
                                    ("rows-data.ckpt", rows_data, tensors, "'crc'"),
+                                   ("sub-seeds.ckpt", sub_seeds, tensors, "'seed'"),
                                    ("no-fc-b.ckpt", header, short_table, "'fc.b'")):
         path = tmp_path / name
         save_checkpoint(path, head, table)     # CRC-valid, contents incomplete
@@ -356,6 +364,29 @@ def test_cli_resume_on_a_broken_tensor_table_is_one_error_line(cli_run, tmp_path
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {path}: {why}"]
 
 
+def test_cli_eval_reads_only_the_val_split(cli_run, tmp_path, capsys):
+    """cdkd eval builds the val split alone: a cifar10 config whose train file
+    is missing evaluates a 10-class checkpoint on its val file."""
+    conf, teacher_out, _ = cli_run
+    header, _ = load_checkpoint(teacher_out / "final.ckpt")
+    assert "num_classes = 4\n" in header
+    net = build_network(NetworkSpec(channels=(4, 6), num_classes=10), seed=0)
+    ckpt = tmp_path / "ten.ckpt"
+    save_checkpoint(ckpt, header.replace("num_classes = 4\n", "num_classes = 10\n"),
+                    {n: p.data for n, p in net.parameters()})
+    val = tmp_path / "val.bin"
+    rng = np.random.default_rng(0)
+    val.write_bytes(b"".join(bytes([label]) + rng.integers(0, 256, 3072, np.uint8).tobytes()
+                             for label in range(4)))
+    cifar = tmp_path / "cifar.conf"
+    cifar.write_text(conf.read_text() + f"\n[data]\nsource = cifar10\n"
+                                        f"path = {tmp_path / 'missing-train.bin'}\n"
+                                        f"val_path = {val}\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cifar), "--ckpt", str(ckpt)]) == 0
+    assert "top-1 error" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("where", ["eval --ckpt", "[data] path"])
 def test_cli_directory_path_is_one_error_line(tmp_path, capsys, where):
     folder = tmp_path / "a-folder"
@@ -369,3 +400,60 @@ def test_cli_directory_path_is_one_error_line(tmp_path, capsys, where):
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and str(folder) in err[0]
+
+
+# -- fuzz: mutated config text and metrics CSV bytes --------------------------------
+
+# pieces of the two grammars, and bytes that are not UTF-8
+_PIECES = (b"[", b"]", b"=", b",", b"#", b"\n", b" ", b"-", b"0", b"1", b"2", b".", b"e",
+           b"nan", b"inf", b"1e999", b"true", b"[run]", b"[data]", b"\xff", b"\x00", b'"')
+
+
+@st.composite
+def _mutated(draw, base: bytes) -> bytes:
+    """``base`` with one to four spans replaced by grammar pieces or raw bytes."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 12))
+        data[at:at + cut] = draw(st.one_of(st.sampled_from(_PIECES), st.binary(max_size=6)))
+    return bytes(data)
+
+
+_CONFIG = TINY_CONFIG.format(out="runs/fuzz").encode()
+_CSV = ("\n".join([",".join(CSV_COLUMNS)] + [f"{e},0.1,{1 - 0.1 * e:.1f},2,0.1,0.05,1.85,0.9,"
+                                              f"{50 - e},{55 - e},{20 - e},1.5"
+                                              for e in range(3)]) + "\n").encode()
+_FUZZ = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@example(raw=_CONFIG[:26] + b"\xff" + _CONFIG[27:])
+@given(raw=_mutated(_CONFIG))
+def test_fuzzed_config_loads_or_is_one_error_naming_the_file(tmp_path, raw):
+    """load_config, which every run command calls first, either returns a
+    config or raises one ConfigError line that names the file; it builds no
+    dataset, so no size read from the text is ever allocated."""
+    path = tmp_path / "fuzz.conf"
+    path.write_bytes(raw)
+    try:
+        load_config(path=path)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}:") and "\n" not in str(exc)
+
+
+@_FUZZ
+@example(raw=_CSV[:26] + b"\xff" + _CSV[27:])
+@example(raw=_CSV + b"1" * 131_073 + b"\n")
+@given(raw=_mutated(_CSV))
+def test_fuzzed_metrics_csv_plots_or_is_one_error_naming_the_file(tmp_path, capsys, raw):
+    """cdkd plot on any bytes exits 0 with no error, or 2 with one error line
+    that names the CSV."""
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(raw)
+    capsys.readouterr()
+    code = main(["plot", "--csv", str(path), "--out", str(tmp_path / "fuzz.svg")])
+    err = capsys.readouterr().err.splitlines()
+    assert (code, err) == (0, []) or (code == 2 and len(err) == 1
+                                      and err[0].startswith(f"error: {path}: "))

@@ -6,7 +6,7 @@ from cdkd.kvtext import format_record, parse_record
 from cdkd.models import (NetworkSpec, adapt_channels, build_network, forward_with_taps,
                          freeze, make_adapter)
 from cdkd.oracle import oracle_conv2d
-from cdkd.tensor import Tensor, backward, softened_softmax
+from cdkd.tensor import Tensor, add_bias, backward, global_avg_pool, softened_softmax
 
 
 def parameter_count(spec: NetworkSpec) -> int:
@@ -85,11 +85,18 @@ def test_zero_input_gives_uniform_prediction():
 
 
 def test_taps_are_pure_observations():
-    net = build_network(NetworkSpec.from_channels([4, 8], num_classes=5), seed=2)
+    """Each tap is its downsampling stage's output after the stage's last relu,
+    at half the extent before it, and the deepest tap is the very map the head
+    pools: the logits follow from it bit for bit."""
+    spec = NetworkSpec.from_channels([4, 8, 16], num_classes=5)
+    assert spec.downsample == (False, True, True)
+    net = build_network(spec, seed=2)
     x = Tensor(np.random.default_rng(1).uniform(size=(2, 3, 8, 8)).astype(np.float32))
-    with_taps, _ = forward_with_taps(net, x)
-    plain = forward(net, x)
-    np.testing.assert_allclose(with_taps.data, plain.data, atol=1e-6)
+    logits, taps = forward_with_taps(net, x)
+    head = add_bias(global_avg_pool(taps[-1]) @ net.params["fc.w"], net.params["fc.b"])
+    assert head.data.tobytes() == logits.data.tobytes()
+    assert [t.shape for t in taps] == [(2, 8, 4, 4), (2, 16, 2, 2)]
+    assert all(t.data.min() >= 0 for t in taps)
 
 
 def test_resolution_underflow_rejected():

@@ -12,6 +12,7 @@ from cdkd.kvtext import format_value
 from cdkd.losses import DistillConfig, cd_loss, channel_weights
 from cdkd.models import NetworkSpec, build_network, forward_with_taps, make_adapter
 from cdkd.optim import EdtParams, LrSchedule, SgdConfig
+from cdkd.seeds import derive
 from cdkd.tensor import Tensor
 from cdkd.train import (CSV_COLUMNS, NonFiniteLossError, Normalization, distill, evaluate,
                         load_model_checkpoint, topk_error, train_teacher)
@@ -78,6 +79,18 @@ def test_evaluate_class_count_mismatch(tiny_data):
         evaluate(net, val, np.zeros(3, np.float32), np.ones(3, np.float32), 32)
 
 
+def test_fit_refuses_a_split_with_another_class_count(tiny_data, tiny_specs, tmp_path):
+    """A train or val split whose class count is not the model's is refused
+    before the out-dir is made, not by evaluate after an epoch of training."""
+    train, val = tiny_data
+    five = {split: make_synthetic(5, 12, 8, seed=7, split=split) for split in ("train", "val")}
+    for split, (tr, va) in (("train", (five["train"], val)), ("val", (train, five["val"]))):
+        with pytest.raises(ValueError, match=f"^{split} split has 5 classes, model expects 4$"):
+            train_teacher(tiny_specs[1], tr, va, SGD, SCHED, epochs=1, seed=0,
+                          out_dir=tmp_path / split, batch_size=32)
+        assert not (tmp_path / split).exists()
+
+
 def test_fit_evaluates_in_the_run_batch_size(tiny_data, tiny_specs, tmp_path, monkeypatch):
     train, val = tiny_data
     sizes = []
@@ -113,7 +126,7 @@ def test_zero_learning_rate_freezes_training(tiny_data, tiny_specs, tmp_path):
                         SgdConfig(lr0=0.0, momentum=0.9, weight_decay=0.0),
                         SCHED, epochs=3, seed=0, out_dir=tmp_path, batch_size=32)
     net, _ = load_model_checkpoint(res.final_ckpt)
-    fresh = build_network(student, seed=res.state.model_seed)
+    fresh = build_network(student, seed=derive(res.state.seed, "model"))
     for (name, a), (_, b) in zip(net.parameters(), fresh.parameters()):
         assert a.data.tobytes() == b.data.tobytes(), name
     rows = res.csv_path.read_text().strip().split("\n")[1:]
@@ -166,7 +179,7 @@ def test_distill_keeps_teacher_frozen_and_moves_student(tiny_data, tiny_specs, t
                    out_dir=tmp_path / "student", batch_size=32)
     assert tres.final_ckpt.read_bytes() == teacher_bytes   # file untouched
     net, _ = load_model_checkpoint(dres.final_ckpt)
-    fresh = build_network(student, seed=dres.state.model_seed)
+    fresh = build_network(student, seed=derive(dres.state.seed, "model"))
     moved = any(a.data.tobytes() != b.data.tobytes()
                 for (_, a), (_, b) in zip(net.parameters(), fresh.parameters()))
     assert moved
@@ -251,8 +264,9 @@ def test_resume_refuses_adapters_that_do_not_fit_the_run(tiny_data, tiny_specs, 
 def test_resume_refuses_another_teacher_or_other_hyperparameters(tiny_data, tiny_specs,
                                                                  tmp_path, monkeypatch):
     """A resume under another teacher with the same taps, or with other data,
-    optim, schedule or EDT values, is refused before any teacher forward; a
-    value spelled with other digits is the same value and is not refused."""
+    optim, schedule or EDT values or another seed, is refused before any
+    teacher forward; a value spelled with other digits is the same value and
+    is not refused."""
     train, val = tiny_data
     teacher_spec, student = tiny_specs
     cd = DistillConfig(alpha=1.0, lam=0.5, gkd_enabled=True, n_decay=5)
@@ -262,10 +276,11 @@ def test_resume_refuses_another_teacher_or_other_hyperparameters(tiny_data, tiny
     crc = [load_model_checkpoint(t)[0].checksum() for t in teachers]
     assert crc[0] != crc[1]
 
-    def run(tag, teacher_ckpt=teachers[0], sgd=SGD, sched=SCHED, edt=EdtParams(1.0, 0.5, 5),
-            epochs=1, resume_from=None, batch_size=32, aug_cfg=None):
+    def run(tag, teacher_ckpt=teachers[0], sgd=SGD, sched=SCHED, cd=cd,
+            edt=EdtParams(1.0, 0.5, 5), epochs=1, seed=1, resume_from=None, batch_size=32,
+            aug_cfg=None):
         return distill(teacher_ckpt, student, train, val, cd, sgd, sched, edt,
-                       epochs=epochs, seed=1, out_dir=tmp_path / tag, batch_size=batch_size,
+                       epochs=epochs, seed=seed, out_dir=tmp_path / tag, batch_size=batch_size,
                        aug_cfg=aug_cfg, resume_from=resume_from).final_ckpt
 
     first = run("first")
@@ -277,7 +292,9 @@ def test_resume_refuses_another_teacher_or_other_hyperparameters(tiny_data, tiny
              "[optim] lr0 = 0.05, this run 0.1"),
             ("milestones", dict(sched=LrSchedule(milestones=(40,), factor=0.1)),
              "[schedule] milestones = 50, this run 40"),
-            ("edt-lam", dict(edt=EdtParams(1.0, 0.7, 5)), "[edt] lam = 0.5, this run 0.7"),
+            ("edt-lam", dict(cd=DistillConfig(alpha=1.0, lam=0.7, gkd_enabled=True, n_decay=5),
+                             edt=EdtParams(1.0, 0.7, 5)), "[distill] lam = 0.5, this run 0.7"),
+            ("seed", dict(seed=2), "[state] seed = 1, this run 2"),
             ("batch-size", dict(batch_size=8), "[data] batch_size = 32, this run 8"),
             ("hflip", dict(aug_cfg=AugmentConfig(*channel_stats(train), hflip_prob=0.5)),
              "[data] hflip_prob = 0, this run 0.5")):
@@ -329,6 +346,33 @@ def test_runs_that_would_train_no_epoch_are_refused(tiny_data, tiny_specs, tmp_p
                                          f"epoch 1, so epochs = 1 leaves no epoch"):
         run("resumed", 1, resume_from=done)
     assert not (tmp_path / "fresh").exists() and not (tmp_path / "resumed").exists()
+
+
+def test_distill_refuses_edt_params_that_contradict_its_config(tiny_data, tiny_specs,
+                                                               tmp_path, monkeypatch):
+    """With CD on, an EdtParams whose alpha, lam or n_decay differs from the
+    DistillConfig's is refused before any teacher forward; a config n_decay of
+    None accepts any, and with CD off the EdtParams are not compared."""
+    train, val = tiny_data
+    teacher_spec, student = tiny_specs
+    tres = train_teacher(teacher_spec, train, val, SGD, SCHED, epochs=1, seed=0,
+                         out_dir=tmp_path / "t", batch_size=32)
+
+    def run(tag, cfg, edt):
+        return distill(tres.final_ckpt, student, train, val, cfg, SGD, SCHED, edt,
+                       epochs=1, seed=1, out_dir=tmp_path / tag, batch_size=32)
+
+    calls = count_teacher_forwards(monkeypatch)
+    cfg = DistillConfig(alpha=1.0, lam=0.5, n_decay=2)
+    for tag, edt, why in (("roadmap", EdtParams(0.25, 0.9, 7), "alpha = 1.0, EdtParams 0.25"),
+                          ("lam", EdtParams(1.0, 0.9, 2), "lam = 0.5, EdtParams 0.9"),
+                          ("n-decay", EdtParams(1.0, 0.5, 7), "n_decay = 2, EdtParams 7")):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'DistillConfig has {why}')}$"):
+            run(tag, cfg, edt)
+        assert not (tmp_path / tag).exists()
+    assert calls == []
+    run("any-n-decay", DistillConfig(alpha=1.0, lam=0.5), EdtParams(1.0, 0.5, 7))
+    run("cd-off", DistillConfig(alpha=0.0, lam=0.5, n_decay=2), EdtParams(0.25, 0.9, 7))
 
 
 def test_distill_refuses_teacher_with_other_normalization(tiny_data, tiny_specs, tmp_path,
@@ -573,7 +617,7 @@ def test_teacher_cache_is_bit_identical_to_live_teacher(uneven_run, tiny_specs, 
                        batch_size=CACHE_BATCH)
 
     cached = run("cached")
-    assert calls == live_teacher_calls(train, cached.state.shuffle_seed, range(3))
+    assert calls == live_teacher_calls(train, derive(cached.state.seed, "shuffle"), range(3))
     assert len(calls) < 3 * 4
     monkeypatch.setattr(AugmentConfig, "randomizes", property(lambda self: True))
     live = run("live")
@@ -601,7 +645,7 @@ def test_teacher_runs_live_only_where_the_cache_cannot_serve(uneven_run, tiny_sp
     if cached:
         # epoch 0 in full, one short batch per epoch, and the later full
         # batches that hold a row epoch 0 saw only in its short batch
-        expected = live_teacher_calls(train, res.state.shuffle_seed, range(3))
+        expected = live_teacher_calls(train, derive(res.state.seed, "shuffle"), range(3))
         assert expected[:4] == [32, 32, 32, 4] and expected.count(4) == 3
     else:
         expected = [32, 32, 32, 4] * 3
@@ -637,7 +681,8 @@ def test_distill_resumed_from_last_ckpt_matches_uninterrupted(uneven_run, tiny_s
     resumed = run(tmp_path / "run", 4, resume_from=tmp_path / "run" / "last.ckpt")
     # the cache starts empty: the first resumed epoch runs every batch live
     assert calls[:4] == [32, 32, 32, 4]
-    assert calls == live_teacher_calls(train, resumed.state.shuffle_seed, range(2, 4))
+    assert calls == live_teacher_calls(train, derive(resumed.state.seed, "shuffle"),
+                                       range(2, 4))
     assert strip_wall(resumed.csv_path.read_text()) == strip_wall(full.csv_path.read_text())
     for name in ("final.ckpt", "best.ckpt"):
         assert run_dir_bytes(resumed, name) == run_dir_bytes(full, name), name
