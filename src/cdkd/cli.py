@@ -56,13 +56,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _origin(args) -> str:
+    return args.config or f"<preset:{args.preset}>"
+
+
+def _load_split(args, data, split: str):
+    """The configured ``split``; one the host cannot allocate is refused as a
+    ConfigError naming the [data] keys that size it."""
+    try:
+        return load_dataset(data, split)
+    except MemoryError:
+        keys = (("classes", f"per_class_{split}", "image_size") if data.source == "synthetic"
+                else ("path" if split == "train" else "val_path",))
+        sizing = ", ".join(f"{k} = {getattr(data, k)}" for k in keys)
+        raise ConfigError(f"{_origin(args)}: [data] the {split} split ({sizing}) "
+                          f"does not fit in memory") from None
+
+
 def _prepare(args, need_model: str):
     cfg = load_config(path=args.config, preset=args.preset, seed=args.seed,
                       out_dir=args.out_dir)
     model = getattr(cfg, need_model)
     if model is None:
         raise ConfigError(f"missing [model.{need_model}] section")
-    train_ds, val_ds = (load_dataset(cfg.data, split) for split in ("train", "val"))
+    train_ds, val_ds = (_load_split(args, cfg.data, split) for split in ("train", "val"))
     means, stds = channel_stats(train_ds)
     aug = AugmentConfig(channel_means=means, channel_stds=stds, pad=cfg.data.pad,
                         random_crop=cfg.data.random_crop,
@@ -104,12 +121,11 @@ def _cmd_eval(args) -> int:
         raise ConfigError("eval needs --ckpt")
     cfg = load_config(path=args.config, preset=args.preset, seed=args.seed,
                       out_dir=args.out_dir)
-    val_ds = load_dataset(cfg.data, "val")
+    val_ds = _load_split(args, cfg.data, "val")
     net, records = load_model_checkpoint(args.ckpt)
     if val_ds.class_count != net.spec.num_classes:
         raise ConfigError(f"{args.ckpt}: model has {net.spec.num_classes} classes, but "
-                          f"{args.config or f'<preset:{args.preset}>'} [data] has "
-                          f"{val_ds.class_count}")
+                          f"{_origin(args)} [data] has {val_ds.class_count}")
     metrics = evaluate(net, val_ds, records["normalize"].means, records["normalize"].stds,
                        cfg.data.batch_size)
     print(f"top-1 error {metrics.top1_error:.4f}%")

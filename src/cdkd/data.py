@@ -114,7 +114,8 @@ def load_cifar_binary(path, variant: str, split: str = "train") -> Dataset:
     if labels.max() >= class_count:
         raise DataFormatError(
             f"{path}: label byte {labels.max()} out of range for {variant}")
-    images = pixels.reshape(-1, *_CIFAR_SHAPE).astype(np.float32) / 255.0
+    images = pixels.reshape(-1, *_CIFAR_SHAPE).astype(np.float32)
+    images /= 255.0     # in place: one float32 copy of the split, not two
     return Dataset(images=images, labels=labels, class_count=class_count, split=split)
 
 
@@ -145,17 +146,17 @@ def make_synthetic(classes: int, per_class: int, image_size: int, seed: int,
     rng = np.random.default_rng(derive(seed, f"samples-{split}"))
     n = classes * per_class
     images = np.empty((n, SYNTHETIC_CHANNELS, image_size, image_size), dtype=np.float32)
-    labels = np.empty(n, dtype=np.int64)
-    idx = 0
+    chans, axis = np.arange(SYNTHETIC_CHANNELS)[:, None, None], np.arange(image_size)
     for c in range(classes):
         shifts = rng.integers(-SYNTHETIC_SHIFT, SYNTHETIC_SHIFT + 1, size=(per_class, 2))
         noise = rng.normal(0.0, SYNTHETIC_NOISE,
                            size=(per_class, SYNTHETIC_CHANNELS, image_size, image_size))
-        for i in range(per_class):
-            img = np.roll(templates[c], tuple(shifts[i]), axis=(1, 2))
-            images[idx] = np.clip(img + noise[i], 0.0, 1.0)
-            labels[idx] = c
-            idx += 1
+        # every sample's np.roll at once: pixel (y, x) <- ((y - dy) % size, (x - dx) % size)
+        ys = (axis - shifts[:, :1]) % image_size
+        xs = (axis - shifts[:, 1:]) % image_size
+        noise += templates[c][chans, ys[:, None, :, None], xs[:, None, None, :]]
+        images[c * per_class:(c + 1) * per_class] = np.clip(noise, 0.0, 1.0, out=noise)
+    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     return Dataset(images=images, labels=labels, class_count=classes, split=split)
 
 

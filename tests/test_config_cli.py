@@ -387,6 +387,22 @@ def test_cli_eval_reads_only_the_val_split(cli_run, tmp_path, capsys):
     assert "top-1 error" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_cli_split_the_host_cannot_hold_is_one_error_line(tmp_path, capsys, split):
+    """A synthetic split far beyond the address space (2.7 PiB) is refused at
+    its first allocation, before a sample is drawn, as one line naming the
+    config, the split and the [data] keys that size it."""
+    conf = write_config(tmp_path, tmp_path / "out")
+    key = f"per_class_{split}"
+    conf.write_text(conf.read_text() + f"\n[data]\n{key} = 1000000000000\n")
+    capsys.readouterr()
+    assert main(["train-teacher", "--config", str(conf)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {conf}: [data] the {split} split (classes = 4, {key} = 1000000000000, "
+        f"image_size = 8) does not fit in memory"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("where", ["eval --ckpt", "[data] path"])
 def test_cli_directory_path_is_one_error_line(tmp_path, capsys, where):
     folder = tmp_path / "a-folder"

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdkd.data import (AugmentConfig, BatchPlan, DataFormatError, augment_batch,
                        channel_stats, iterate_batches, load_cifar_binary, make_synthetic,
-                       normalize, synthetic_templates, CIFAR100_RECORD)
+                       normalize, synthetic_templates, CIFAR100_RECORD, SYNTHETIC_CHANNELS,
+                       SYNTHETIC_NOISE, SYNTHETIC_SHIFT)
+from cdkd.seeds import derive
 
 
 def write_cifar10(path, pixels_u8: np.ndarray, labels) -> None:
@@ -24,7 +28,8 @@ def test_cifar10_round_trip(tmp_path):
     ds = load_cifar_binary(path, "cifar10")
     assert ds.class_count == 10
     np.testing.assert_array_equal(ds.labels, [3, 9])
-    np.testing.assert_array_equal(ds.images, pixels.astype(np.float32) / 255.0)
+    expected = pixels.astype(np.float32) / 255.0
+    assert ds.images.dtype == np.float32 and ds.images.tobytes() == expected.tobytes()
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
 
 
@@ -91,6 +96,47 @@ def test_synthetic_splits_share_templates_not_samples():
     tr = make_synthetic(4, 10, 12, seed=5, split="train")
     va = make_synthetic(4, 10, 12, seed=5, split="val")
     assert tr.images.tobytes() != va.images.tobytes()
+
+
+def _per_image_reference(classes, per_class, image_size, seed, split):
+    """The generator as first written, one np.roll and one np.clip per image:
+    the reference for the bytes of the block-at-a-time make_synthetic."""
+    templates = synthetic_templates(classes, image_size, seed)
+    rng = np.random.default_rng(derive(seed, f"samples-{split}"))
+    images, labels = [], []
+    for c in range(classes):
+        shifts = rng.integers(-SYNTHETIC_SHIFT, SYNTHETIC_SHIFT + 1, size=(per_class, 2))
+        noise = rng.normal(0.0, SYNTHETIC_NOISE,
+                           size=(per_class, SYNTHETIC_CHANNELS, image_size, image_size))
+        for i in range(per_class):
+            img = np.roll(templates[c], tuple(shifts[i]), axis=(1, 2))
+            images.append(np.clip(img + noise[i], 0.0, 1.0).astype(np.float32))
+            labels.append(c)
+    return np.stack(images), np.array(labels, dtype=np.int64)
+
+
+@pytest.mark.parametrize("args, crc", [
+    ((8, 200, 16, 0, "train"), 1584850380),      # the bench's train split
+    ((8, 100, 16, 0, "val"), 1963130685),        # the bench's val split
+    ((10, 50, 32, 3, "val"), 4088428645),
+    ((3, 5, 9, 1, "train"), 913836066),
+    ((2, 1, 5, 2, "train"), 474449870),
+])
+def test_synthetic_bytes_are_pinned(args, crc):
+    classes, per_class, image_size, seed, split = args
+    assert make_synthetic(classes, per_class, image_size, seed, split=split).checksum() == crc
+
+
+@settings(max_examples=60, deadline=None)
+@given(classes=st.integers(2, 5), per_class=st.integers(1, 6),
+       image_size=st.integers(3, 12), seed=st.integers(0, 2**31 - 1),
+       split=st.sampled_from(["train", "val"]))
+def test_synthetic_bytes_equal_the_per_image_reference(classes, per_class, image_size,
+                                                       seed, split):
+    ds = make_synthetic(classes, per_class, image_size, seed, split=split)
+    images, labels = _per_image_reference(classes, per_class, image_size, seed, split)
+    assert ds.images.dtype == np.float32 and ds.images.tobytes() == images.tobytes()
+    assert ds.labels.dtype == np.int64 and ds.labels.tobytes() == labels.tobytes()
 
 
 def test_nearest_template_oracle_exceeds_80_percent():
