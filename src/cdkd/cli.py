@@ -61,11 +61,13 @@ def _origin(args) -> str:
 
 
 def _load_split(args, data, split: str):
-    """The configured ``split``; one the host cannot allocate is refused as a
+    """The configured ``split``; one the host cannot allocate, or a synthetic
+    one past numpy's array size limits (a ValueError), is refused as a
     ConfigError naming the [data] keys that size it."""
+    too_big = (MemoryError, ValueError) if data.source == "synthetic" else MemoryError
     try:
         return load_dataset(data, split)
-    except MemoryError:
+    except too_big:
         keys = (("classes", f"per_class_{split}", "image_size") if data.source == "synthetic"
                 else ("path" if split == "train" else "val_path",))
         sizing = ", ".join(f"{k} = {getattr(data, k)}" for k in keys)

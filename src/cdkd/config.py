@@ -49,8 +49,9 @@ class DataSection:
         for key in ("path", "val_path"):
             if self.source != "synthetic" and not getattr(self, key):
                 raise ValueError(f"source {self.source} requires '{key}'")
-        for key, rule, ok in (("classes", ">= 2", self.source != "synthetic"
-                               or self.classes >= 2),
+        synthetic = self.source == "synthetic"
+        for key, rule, ok in (("classes", ">= 2", not synthetic or self.classes >= 2),
+                              ("image_size", ">= 1", not synthetic or self.image_size >= 1),
                               ("batch_size", ">= 1", self.batch_size >= 1),
                               ("per_class_train", ">= 1", self.per_class_train >= 1),
                               ("per_class_val", ">= 1", self.per_class_val >= 1),
@@ -151,7 +152,7 @@ def build_config(sections: Dict[str, dict]) -> RunConfig:
     for name in ("model.teacher", "model.student"):
         if data.source == "synthetic" and name in built:
             step = 1 << sum(built[name].downsample)     # each tap halves the resolution
-            if data.image_size < 1 or data.image_size % step:
+            if data.image_size % step:
                 raise ConfigError(f"[data] image_size must be a positive multiple of "
                                   f"{step} for [{name}], got {data.image_size}")
     distill, edt = built.get("distill"), None
@@ -291,4 +292,4 @@ def load_dataset(data: DataSection, split: str) -> Dataset:
         return make_synthetic(data.classes,
                               data.per_class_train if train else data.per_class_val,
                               data.image_size, data.data_seed, split=split)
-    return load_cifar_binary(data.path if train else data.val_path, data.source, split=split)
+    return load_cifar_binary(data.path if train else data.val_path, data.source)

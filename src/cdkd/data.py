@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .seeds import derive, derive_epoch
+from .seeds import derive
 
 CIFAR10_RECORD = 3073
 CIFAR100_RECORD = 3074
@@ -38,7 +38,6 @@ class Dataset:
     images: np.ndarray          # float32 [N, c, h, w] in [0, 1]
     labels: np.ndarray          # int64 [N]
     class_count: int
-    split: str                  # "train" or "val"
 
     def __post_init__(self):
         if self.images.ndim != 4 or len(self.labels) != len(self.images):
@@ -82,17 +81,7 @@ class AugmentConfig:
         return (self.pad > 0 and self.random_crop) or self.hflip_prob > 0
 
 
-@dataclass
-class BatchPlan:
-    batch_size: int
-    shuffle_seed: int
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-
-
-def load_cifar_binary(path, variant: str, split: str = "train") -> Dataset:
+def load_cifar_binary(path, variant: str) -> Dataset:
     """Decode a CIFAR-10 or CIFAR-100 ('cifar100-fine') binary file."""
     if variant not in ("cifar10", "cifar100-fine"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -116,7 +105,7 @@ def load_cifar_binary(path, variant: str, split: str = "train") -> Dataset:
             f"{path}: label byte {labels.max()} out of range for {variant}")
     images = pixels.reshape(-1, *_CIFAR_SHAPE).astype(np.float32)
     images /= 255.0     # in place: one float32 copy of the split, not two
-    return Dataset(images=images, labels=labels, class_count=class_count, split=split)
+    return Dataset(images=images, labels=labels, class_count=class_count)
 
 
 def synthetic_templates(classes: int, image_size: int, seed: int) -> np.ndarray:
@@ -157,7 +146,7 @@ def make_synthetic(classes: int, per_class: int, image_size: int, seed: int,
         noise += templates[c][chans, ys[:, None, :, None], xs[:, None, None, :]]
         images[c * per_class:(c + 1) * per_class] = np.clip(noise, 0.0, 1.0, out=noise)
     labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
-    return Dataset(images=images, labels=labels, class_count=classes, split=split)
+    return Dataset(images=images, labels=labels, class_count=classes)
 
 
 def channel_stats(ds: Dataset) -> Tuple[np.ndarray, np.ndarray]:
@@ -194,22 +183,13 @@ def augment_batch(batch: np.ndarray, cfg: AugmentConfig,
     return normalize(out, cfg.channel_means, cfg.channel_stds)
 
 
-def iterate_batches(ds: Dataset, plan: BatchPlan, epoch: int,
-                    shuffle: Optional[bool] = None
+def iterate_batches(ds: Dataset, batch_size: int, order_seed: Optional[int] = None
                     ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Deterministic (indices, images, labels) batches. The order is a pure
-    function of (shuffle_seed, epoch), and only the last batch may be short.
-
-    Training splits shuffle by default, validation splits never do.
-    """
+    """(indices, images, labels) batches in the permutation that ``order_seed``
+    draws, or in row order when it is None; only the last batch may be short."""
     n = len(ds)
-    if shuffle is None:
-        shuffle = ds.split == "train"
-    if shuffle:
-        rng = np.random.default_rng(derive_epoch(plan.shuffle_seed, epoch))
-        order = rng.permutation(n)
-    else:
-        order = np.arange(n)
-    for start in range(0, n, plan.batch_size):
-        idx = order[start:start + plan.batch_size]
+    order = (np.arange(n) if order_seed is None
+             else np.random.default_rng(order_seed).permutation(n))
+    for start in range(0, n, batch_size):
+        idx = order[start:start + batch_size]
         yield idx, ds.images[idx], ds.labels[idx]

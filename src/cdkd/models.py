@@ -70,20 +70,12 @@ class NetworkSpec:
                    residual=residual)
 
 
-@dataclass
-class _BlockShape:
-    stride: int
-    name: str
-    proj: Optional[str]     # projection param name, None for identity shortcut
-
-
 class Network:
-    """A built MiniConvNet: parameters by name plus the block layout."""
+    """A built MiniConvNet: its architecture and its parameters by name."""
 
-    def __init__(self, spec: NetworkSpec, params: dict, blocks: list):
+    def __init__(self, spec: NetworkSpec, params: dict):
         self.spec = spec
         self.params = params          # name -> Tensor, insertion-ordered
-        self._blocks = blocks         # list of lists, one per stage
 
     def parameters(self):
         return list(self.params.items())
@@ -107,42 +99,35 @@ def _init_conv(rng: np.random.Generator, c_out, c_in, kh, kw) -> np.ndarray:
 
 
 def build_network(spec: NetworkSpec, seed: int) -> Network:
-    """Deterministically initialized network: fan-in-scaled uniform convs, zero biases."""
+    """Deterministically initialized network: fan-in-scaled uniform convs, zero biases.
+
+    A downsampling stage's first block gets a 2x2 conv1 and a 2x2 projection;
+    every other conv1 is 3x3, and a width change gets a 1x1 projection."""
     rng = np.random.default_rng(seed)
     params: dict = {}
-    blocks: list = []
+
+    def conv(name, c_out, c_in, k):
+        params[name] = Tensor(_init_conv(rng, c_out, c_in, k, k), requires_grad=True)
+
     in_ch = spec.input_channels
     for si, (out_ch, n_blocks, down) in enumerate(
             zip(spec.channels, spec.blocks, spec.downsample)):
-        stage_blocks = []
         for bi in range(n_blocks):
             name = f"s{si}b{bi}"
-            stride = 2 if (bi == 0 and down) else 1
-            k1 = 2 if stride == 2 else 3
-            params[f"{name}.conv1"] = Tensor(
-                _init_conv(rng, out_ch, in_ch, k1, k1), requires_grad=True)
-            proj = None
+            entry = down and bi == 0
+            conv(f"{name}.conv1", out_ch, in_ch, 2 if entry else 3)
             if spec.residual:
-                params[f"{name}.conv2"] = Tensor(
-                    _init_conv(rng, out_ch, out_ch, 3, 3), requires_grad=True)
-                if stride == 2:
-                    proj = f"{name}.proj"
-                    params[proj] = Tensor(
-                        _init_conv(rng, out_ch, in_ch, 2, 2), requires_grad=True)
-                elif in_ch != out_ch:
-                    proj = f"{name}.proj"
-                    params[proj] = Tensor(
-                        _init_conv(rng, out_ch, in_ch, 1, 1), requires_grad=True)
-            stage_blocks.append(_BlockShape(stride, name, proj))
+                conv(f"{name}.conv2", out_ch, out_ch, 3)
+                if entry or in_ch != out_ch:
+                    conv(f"{name}.proj", out_ch, in_ch, 2 if entry else 1)
             in_ch = out_ch
-        blocks.append(stage_blocks)
     bound = 1.0 / np.sqrt(in_ch)
     params["fc.w"] = Tensor(
         rng.uniform(-bound, bound, size=(in_ch, spec.num_classes)).astype(np.float32),
         requires_grad=True)
     params["fc.b"] = Tensor(np.zeros(spec.num_classes, dtype=np.float32),
                             requires_grad=True)
-    return Network(spec, params, blocks)
+    return Network(spec, params)
 
 
 def forward_with_taps(net: Network, batch: Tensor):
@@ -160,14 +145,14 @@ def forward_with_taps(net: Network, batch: Tensor):
                          f"{spec.input_channels}")
     taps = []
     h, w = x.shape[2], x.shape[3]
-    for si, down in enumerate(spec.downsample):
+    for si, (n_blocks, down) in enumerate(zip(spec.blocks, spec.downsample)):
         if down:
             if h < 2 or w < 2 or h % 2 or w % 2:
                 raise ValueError(
                     f"resolution underflow: stage {si} cannot halve {h}x{w}")
             h, w = h // 2, w // 2
-        for blk in net._blocks[si]:
-            x = _forward_block(net, blk, x, spec.residual)
+        for bi in range(n_blocks):
+            x = _forward_block(net.params, f"s{si}b{bi}", x, spec.residual)
         if down:
             taps.append(x)
     pooled = global_avg_pool(x)
@@ -175,18 +160,16 @@ def forward_with_taps(net: Network, batch: Tensor):
     return logits, taps
 
 
-def _forward_block(net: Network, blk: _BlockShape, x: Tensor, residual: bool) -> Tensor:
-    pad1 = 0 if blk.stride == 2 else 1
-    y = conv2d(x, net.params[f"{blk.name}.conv1"], stride=blk.stride, padding=pad1)
-    y = y.relu()
+def _forward_block(params: dict, name: str, x: Tensor, residual: bool) -> Tensor:
+    """A 2x2 conv1 is a downsampling entry: it and the projection stride 2."""
+    w1 = params[f"{name}.conv1"]
+    stride, pad = (2, 0) if w1.shape[-1] == 2 else (1, 1)
+    y = conv2d(x, w1, stride=stride, padding=pad).relu()
     if not residual:
         return y
-    y = conv2d(y, net.params[f"{blk.name}.conv2"], stride=1, padding=1)
-    if blk.proj is not None:
-        pstride = 2 if blk.stride == 2 else 1
-        shortcut = conv2d(x, net.params[blk.proj], stride=pstride, padding=0)
-    else:
-        shortcut = x
+    y = conv2d(y, params[f"{name}.conv2"], stride=1, padding=1)
+    proj = params.get(f"{name}.proj")
+    shortcut = x if proj is None else conv2d(x, proj, stride=stride, padding=0)
     return (y + shortcut).relu()
 
 

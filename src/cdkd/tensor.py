@@ -117,9 +117,6 @@ class Tensor:
         """Same values, cut from the graph; gradients never flow through."""
         return Tensor._from_op(self.data, (), None)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accum(self, g: np.ndarray) -> None:
         # float32 leaves keep float32 gradients even under float64 upstream;
         # a fresh gradient is always C-contiguous, whatever g's layout

@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import (AugmentConfig, BatchPlan, Dataset, augment_batch, channel_stats,
-                   iterate_batches, normalize)
+from .data import (AugmentConfig, Dataset, augment_batch, channel_stats, iterate_batches,
+                   normalize)
 from .kvtext import emit_sections, format_record, format_value, parse_record, parse_sections
 from .losses import (DistillConfig, LossBreakdown, cd_loss, ce_loss, channel_weights,
                      gkd_loss, kd_loss, teacher_correct_mask, total_loss)
@@ -83,10 +83,9 @@ def evaluate(net: Network, ds: Dataset, means: np.ndarray, stds: np.ndarray,
         raise ValueError(f"dataset has {ds.class_count} classes, model expects "
                          f"{net.spec.num_classes}")
     means, stds = np.asarray(means, np.float32), np.asarray(stds, np.float32)
-    plan = BatchPlan(batch_size=batch_size, shuffle_seed=0)
     all_logits = []
     with no_grad():
-        for _, imgs, _ in iterate_batches(ds, plan, epoch=0, shuffle=False):
+        for _, imgs, _ in iterate_batches(ds, batch_size):
             logits, _ = forward_with_taps(net, Tensor(normalize(imgs, means, stds)))
             all_logits.append(logits.data)
     logits = np.concatenate(all_logits, axis=0)
@@ -118,6 +117,10 @@ class DataSettings:
     random_crop: bool
     hflip_prob: float
     crc: int
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -307,7 +310,6 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
     out_dir.mkdir(parents=True, exist_ok=True)
 
     teacher_crc = records["teacher"].checksum if teacher is not None else None
-    plan = BatchPlan(batch_size=batch_size, shuffle_seed=derive(seed, "shuffle"))
     # a teacher row's bits do not depend on the other rows of a full batch,
     # but a short last batch can be one row, whose bits differ: short
     # batches always run the live teacher and never touch the cache
@@ -341,16 +343,17 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
         # the decay weight only ever multiplies the CD term; log what is applied
         w_edt = edt_weight(edt, epoch) if cd_on else 0.0
         aug_rng = np.random.default_rng(derive_epoch(derive(seed, "augment"), epoch))
+        order_seed = derive_epoch(derive(seed, "shuffle"), epoch)
         sums = np.zeros(4)    # total, cd, gkd, ce, sample-weighted
         n_seen = 0
         n_correct_teacher = 0
         n_correct_train = 0
-        for idx, imgs, labels in iterate_batches(train_ds, plan, epoch):
+        for idx, imgs, labels in iterate_batches(train_ds, batch_size, order_seed):
             x = Tensor(augment_batch(imgs, aug_cfg, aug_rng))
             bs = len(labels)
             t_logits, t_gaps = None, []
             if need_teacher:
-                full = cache is not None and bs == plan.batch_size
+                full = cache is not None and bs == batch_size
                 targets = cache.get(idx) if full else None
                 if targets is None:
                     t_logits, t_taps = forward_with_taps(teacher, x)
@@ -382,7 +385,7 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
             state.global_step += 1
 
         state.epoch = epoch + 1
-        last_val = evaluate(net, val_ds, means, stds, plan.batch_size)
+        last_val = evaluate(net, val_ds, means, stds, batch_size)
         train_top1 = 100.0 * (1.0 - n_correct_train / n_seen)
         row = [epoch, lr, w_edt,
                sums[0] / n_seen, sums[1] / n_seen, sums[2] / n_seen, sums[3] / n_seen,

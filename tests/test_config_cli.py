@@ -387,19 +387,27 @@ def test_cli_eval_reads_only_the_val_split(cli_run, tmp_path, capsys):
     assert "top-1 error" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("split", ["train", "val"])
-def test_cli_split_the_host_cannot_hold_is_one_error_line(tmp_path, capsys, split):
-    """A synthetic split far beyond the address space (2.7 PiB) is refused at
-    its first allocation, before a sample is drawn, as one line naming the
+@pytest.mark.parametrize("split, key, value", [
+    pytest.param("train", "per_class_train", 10**12, id="train"),
+    pytest.param("val", "per_class_val", 10**12, id="val"),
+    pytest.param("train", "per_class_train", 10**30, id="train-past-max-dimension"),
+    pytest.param("val", "per_class_val", 10**30, id="val-past-max-dimension"),
+    pytest.param("train", "per_class_train", 10**17, id="train-past-max-bytes"),
+    pytest.param("train", "image_size", 4 * 10**20, id="templates-past-max-dimension")])
+def test_cli_split_the_host_cannot_hold_is_one_error_line(tmp_path, capsys, split, key, value):
+    """A synthetic split far beyond the address space (2.7 PiB), or past
+    numpy's array size limits (too many rows, too many bytes, templates too
+    wide), is refused before a sample is drawn, as one line naming the
     config, the split and the [data] keys that size it."""
     conf = write_config(tmp_path, tmp_path / "out")
-    key = f"per_class_{split}"
-    conf.write_text(conf.read_text() + f"\n[data]\n{key} = 1000000000000\n")
+    conf.write_text(conf.read_text() + f"\n[data]\n{key} = {value}\n")
+    sizing = {"classes": 4, f"per_class_{split}": 16 if split == "train" else 8,
+              "image_size": 8, key: value}
     capsys.readouterr()
     assert main(["train-teacher", "--config", str(conf)]) == 2
     assert capsys.readouterr().err.strip().splitlines() == [
-        f"error: {conf}: [data] the {split} split (classes = 4, {key} = 1000000000000, "
-        f"image_size = 8) does not fit in memory"]
+        f"error: {conf}: [data] the {split} split "
+        f"({', '.join(f'{k} = {v}' for k, v in sizing.items())}) does not fit in memory"]
     assert not (tmp_path / "out").exists()
 
 

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdkd.data import (AugmentConfig, BatchPlan, DataFormatError, augment_batch,
+from cdkd.data import (AugmentConfig, DataFormatError, augment_batch,
                        channel_stats, iterate_batches, load_cifar_binary, make_synthetic,
                        normalize, synthetic_templates, CIFAR100_RECORD, SYNTHETIC_CHANNELS,
                        SYNTHETIC_NOISE, SYNTHETIC_SHIFT)
-from cdkd.seeds import derive
+from cdkd.seeds import derive, derive_epoch
 
 
 def write_cifar10(path, pixels_u8: np.ndarray, labels) -> None:
@@ -207,19 +207,17 @@ def test_channel_stats_shapes():
 
 def test_batches_are_pure_function_of_seed_and_epoch():
     ds = make_synthetic(4, 10, 8, seed=2)
-    plan = BatchPlan(batch_size=8, shuffle_seed=9)
-    a = [lab.tolist() for _, _, lab in iterate_batches(ds, plan, epoch=3)]
-    b = [lab.tolist() for _, _, lab in iterate_batches(ds, plan, epoch=3)]
+    a = [lab.tolist() for _, _, lab in iterate_batches(ds, 8, derive_epoch(9, 3))]
+    b = [lab.tolist() for _, _, lab in iterate_batches(ds, 8, derive_epoch(9, 3))]
     assert a == b
-    c = [lab.tolist() for _, _, lab in iterate_batches(ds, plan, epoch=4)]
+    c = [lab.tolist() for _, _, lab in iterate_batches(ds, 8, derive_epoch(9, 4))]
     assert a != c
 
 
 def test_every_sample_once_per_epoch_without_drop_last():
     ds = make_synthetic(2, 5, 8, seed=3)
-    plan = BatchPlan(batch_size=4, shuffle_seed=0)
     seen = np.concatenate([img.sum(axis=(1, 2, 3)) for _, img, _ in
-                           iterate_batches(ds, plan, epoch=1)])
+                           iterate_batches(ds, 4, derive_epoch(0, 1))])
     assert len(seen) == 10
     np.testing.assert_allclose(np.sort(seen), np.sort(ds.images.sum(axis=(1, 2, 3))),
                                atol=1e-5)
@@ -227,8 +225,7 @@ def test_every_sample_once_per_epoch_without_drop_last():
 
 def test_batches_are_the_rows_at_batch_indices():
     ds = make_synthetic(3, 7, 8, seed=5)
-    plan = BatchPlan(batch_size=4, shuffle_seed=2)
-    batches = list(iterate_batches(ds, plan, epoch=2))
+    batches = list(iterate_batches(ds, 4, derive_epoch(2, 2)))
     indices = [idx for idx, _, _ in batches]
     assert [len(i) for i in indices] == [4, 4, 4, 4, 4, 1]
     np.testing.assert_array_equal(np.sort(np.concatenate(indices)), np.arange(len(ds)))
@@ -237,9 +234,8 @@ def test_batches_are_the_rows_at_batch_indices():
         np.testing.assert_array_equal(labels, ds.labels[idx])
 
 
-def test_validation_split_iterates_unshuffled():
+def test_no_order_seed_iterates_in_row_order():
     ds = make_synthetic(2, 6, 8, seed=4, split="val")
-    plan = BatchPlan(batch_size=5, shuffle_seed=123)
-    labels = np.concatenate([lab for _, _, lab in iterate_batches(ds, plan, epoch=0)])
+    labels = np.concatenate([lab for _, _, lab in iterate_batches(ds, 5)])
     np.testing.assert_array_equal(labels, ds.labels)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import cdkd.train
-from cdkd.data import BatchPlan, iterate_batches, make_synthetic, normalize
+from cdkd.data import iterate_batches, make_synthetic, normalize
 from cdkd.gradcheck import composite_grad_reports
 from cdkd.losses import ce_loss
 from cdkd.models import NetworkSpec, build_network, forward_with_taps
@@ -70,7 +70,7 @@ def test_evaluation_batch_size_moves_no_bit(trained, val):
         with no_grad():
             return np.concatenate([
                 forward_with_taps(net, Tensor(normalize(imgs, m, s)))[0].data
-                for _, imgs, _ in iterate_batches(val, BatchPlan(batch_size, 0), 0)])
+                for _, imgs, _ in iterate_batches(val, batch_size)])
 
     small, large = logits(BATCH), logits(256)
     assert small.shape == (800, 8)

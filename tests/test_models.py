@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdkd.losses import cd_loss, channel_weights
 from cdkd.kvtext import format_record, parse_record
 from cdkd.models import (NetworkSpec, adapt_channels, build_network, forward_with_taps,
                          freeze, make_adapter)
 from cdkd.oracle import oracle_conv2d
-from cdkd.tensor import Tensor, add_bias, backward, global_avg_pool, softened_softmax
+from cdkd.tensor import (Tensor, add_bias, backward, conv2d, global_avg_pool,
+                         softened_softmax)
 
 
 def parameter_count(spec: NetworkSpec) -> int:
@@ -179,3 +182,79 @@ def test_spec_text_round_trip():
     default = NetworkSpec([4, 8, 16], num_classes=4)     # one block; all but the first halve
     assert (default.blocks, default.downsample) == ((1, 1, 1), (False, True, True))
     assert parse_record(NetworkSpec, format_record(default)) == default
+
+
+# -- the documented block rules, written out ---------------------------------------
+
+
+def documented_shapes(spec: NetworkSpec) -> dict:
+    """Parameter name -> shape under the README's rules: conv1 is 3x3, or 2x2
+    on a downsampling stage's first block (its entry); a residual block adds a
+    3x3 conv2 and, on its entry, a 2x2 projection, elsewhere a 1x1 projection
+    where the width changes; then the [c, classes] classifier and its bias."""
+    shapes = {}
+    in_ch = spec.input_channels
+    for si, (c, n, down) in enumerate(zip(spec.channels, spec.blocks, spec.downsample)):
+        for bi in range(n):
+            name, k = f"s{si}b{bi}", 2 if down and bi == 0 else 3
+            shapes[f"{name}.conv1"] = (c, in_ch, k, k)
+            if spec.residual:
+                shapes[f"{name}.conv2"] = (c, c, 3, 3)
+                if k == 2:
+                    shapes[f"{name}.proj"] = (c, in_ch, 2, 2)
+                elif in_ch != c:
+                    shapes[f"{name}.proj"] = (c, in_ch, 1, 1)
+            in_ch = c
+    shapes["fc.w"], shapes["fc.b"] = (in_ch, spec.num_classes), (spec.num_classes,)
+    return shapes
+
+
+def documented_forward(spec: NetworkSpec, params: dict, x: Tensor):
+    """(logits, taps) under the README's rules: a 3x3 conv1 has stride 1 and
+    pad 1, a 2x2 one stride 2 and pad 0; conv1 -> relu, and for a residual
+    block conv2 (3x3, pad 1) plus the shortcut (the input, or its projection:
+    2x2 stride 2 on the entry block, 1x1 on a width change) -> relu. Each
+    downsampling stage's output is a tap; the head is GAP then the classifier."""
+    taps = []
+    in_ch = spec.input_channels
+    for si, (c, n, down) in enumerate(zip(spec.channels, spec.blocks, spec.downsample)):
+        for bi in range(n):
+            name, entry = f"s{si}b{bi}", down and bi == 0
+            stride = 2 if entry else 1
+            y = conv2d(x, params[f"{name}.conv1"], stride=stride, padding=0 if entry else 1)
+            y = y.relu()
+            if spec.residual:
+                y = conv2d(y, params[f"{name}.conv2"], stride=1, padding=1)
+                if entry or in_ch != c:
+                    x = conv2d(x, params[f"{name}.proj"], stride=stride, padding=0)
+                y = (y + x).relu()
+            x, in_ch = y, c
+        if down:
+            taps.append(x)
+    return add_bias(global_avg_pool(x) @ params["fc.w"], params["fc.b"]), taps
+
+
+@st.composite
+def _specs(draw):
+    n = draw(st.integers(2, 3))
+    per_stage = lambda values: tuple(draw(st.lists(values, min_size=n, max_size=n)))
+    return NetworkSpec(per_stage(st.integers(1, 5)), num_classes=draw(st.integers(2, 4)),
+                       blocks=per_stage(st.integers(1, 3)),
+                       downsample=per_stage(st.booleans()),
+                       input_channels=draw(st.sampled_from([1, 3])),
+                       residual=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_specs(), seed=st.integers(0, 2**32 - 1), scale=st.integers(1, 2))
+def test_forward_follows_the_documented_block_rules(spec, seed, scale):
+    net = build_network(spec, seed=seed)
+    assert {n: p.shape for n, p in net.parameters()} == documented_shapes(spec)
+    assert list(net.params) == list(documented_shapes(spec))
+    size = scale << spec.tap_count
+    x = Tensor(np.random.default_rng(seed).uniform(
+        size=(2, spec.input_channels, size, size)).astype(np.float32))
+    logits, taps = forward_with_taps(net, x)
+    ref_logits, ref_taps = documented_forward(spec, net.params, x)
+    assert logits.data.tobytes() == ref_logits.data.tobytes()
+    assert [t.data.tobytes() for t in taps] == [t.data.tobytes() for t in ref_taps]

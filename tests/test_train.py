@@ -6,13 +6,13 @@ import pytest
 
 import cdkd.train
 from cdkd.checkpoint import load_checkpoint, save_checkpoint
-from cdkd.data import (AugmentConfig, BatchPlan, Dataset, channel_stats, iterate_batches,
+from cdkd.data import (AugmentConfig, Dataset, channel_stats, iterate_batches,
                        make_synthetic)
 from cdkd.kvtext import format_value
 from cdkd.losses import DistillConfig, cd_loss, channel_weights
 from cdkd.models import NetworkSpec, build_network, forward_with_taps, make_adapter
 from cdkd.optim import EdtParams, LrSchedule, SgdConfig
-from cdkd.seeds import derive
+from cdkd.seeds import derive, derive_epoch
 from cdkd.tensor import Tensor
 from cdkd.train import (CSV_COLUMNS, NonFiniteLossError, Normalization, distill, evaluate,
                         load_model_checkpoint, topk_error, train_teacher)
@@ -89,6 +89,16 @@ def test_fit_refuses_a_split_with_another_class_count(tiny_data, tiny_specs, tmp
             train_teacher(tiny_specs[1], tr, va, SGD, SCHED, epochs=1, seed=0,
                           out_dir=tmp_path / split, batch_size=32)
         assert not (tmp_path / split).exists()
+
+
+@pytest.mark.parametrize("batch_size", [0, -4])
+def test_fit_refuses_a_batch_size_below_one_before_the_out_dir(tiny_data, tiny_specs,
+                                                               tmp_path, batch_size):
+    train, val = tiny_data
+    with pytest.raises(ValueError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+        train_teacher(tiny_specs[1], train, val, SGD, SCHED, epochs=1, seed=0,
+                      out_dir=tmp_path / "out", batch_size=batch_size)
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_evaluates_in_the_run_batch_size(tiny_data, tiny_specs, tmp_path, monkeypatch):
@@ -191,7 +201,7 @@ def test_distill_tap_count_mismatch_rejected(tiny_data, tmp_path, monkeypatch):
     without GKD."""
     train, val = tiny_data
     six = [make_synthetic(6, 8, 8, seed=7, split=s) for s in ("train", "val")]
-    gray = [Dataset(d.images[:, :1].copy(), d.labels, d.class_count, d.split)
+    gray = [Dataset(d.images[:, :1].copy(), d.labels, d.class_count)
             for d in tiny_data]
     cd_only = DistillConfig(alpha=1.0, gkd_enabled=False, n_decay=5)
     cd_gkd = DistillConfig(alpha=1.0, gkd_enabled=True, n_decay=5)
@@ -586,11 +596,10 @@ def live_teacher_calls(train, shuffle_seed, epochs):
     """Batch sizes of the teacher forwards a run starting with an empty cache
     makes: every short batch, and every full batch holding a row that no
     earlier full batch of the run held."""
-    plan = BatchPlan(CACHE_BATCH, shuffle_seed)
     held = np.zeros(len(train), dtype=bool)
     calls = []
     for epoch in epochs:
-        for idx, _, _ in iterate_batches(train, plan, epoch):
+        for idx, _, _ in iterate_batches(train, CACHE_BATCH, derive_epoch(shuffle_seed, epoch)):
             full = len(idx) == CACHE_BATCH
             if not (full and held[idx].all()):
                 calls.append(len(idx))
