@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, load_config, load_dataset, snapshot_text
+from .config import ConfigError, check_image_size, load_config, load_dataset, snapshot_text
 from .data import AugmentConfig, channel_stats
 from .plotting import write_metrics_svg
 from .train import distill, evaluate, load_model_checkpoint, train_teacher
@@ -128,6 +128,7 @@ def _cmd_eval(args) -> int:
     if val_ds.class_count != net.spec.num_classes:
         raise ConfigError(f"{args.ckpt}: model has {net.spec.num_classes} classes, but "
                           f"{_origin(args)} [data] has {val_ds.class_count}")
+    check_image_size(cfg.data, net.spec, args.ckpt, origin=f"{_origin(args)}: ")
     metrics = evaluate(net, val_ds, records["normalize"].means, records["normalize"].stds,
                        cfg.data.batch_size)
     print(f"top-1 error {metrics.top1_error:.4f}%")

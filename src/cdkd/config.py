@@ -88,29 +88,25 @@ class RunConfig:
     run: RunSection
 
 
-# section -> the dataclasses its keys fill, in canonical snapshot order
-_SECTIONS = {"model.teacher": (NetworkSpec,), "model.student": (NetworkSpec,),
-             "data": (DataSection,), "optim": (SgdConfig,), "schedule": (LrSchedule,),
-             "distill": (DistillConfig, EdtParams), "run": (RunSection,)}
+# section -> the dataclass its keys fill, in canonical snapshot order
+_SECTIONS = {"model.teacher": NetworkSpec, "model.student": NetworkSpec,
+             "data": DataSection, "optim": SgdConfig, "schedule": LrSchedule,
+             "distill": DistillConfig, "run": RunSection}
 # config key -> field name, where they differ ("lambda" is a Python keyword)
-_FIELD = {"lambda": "lam", "edt_stepwise": "stepwise"}
+_FIELD = {"lambda": "lam"}
 _KEY = {f: k for k, f in _FIELD.items()}
 # the NetworkSpec fields the data fixes, so no config key sets them
 _FROM_DATA = ("num_classes", "input_channels")
 
 
-def _keys(classes) -> Dict[str, object]:
-    """key -> type of each field of ``classes``; the first class with a key types it."""
-    keys: Dict[str, object] = {}
-    for cls in classes:
-        hints = get_type_hints(cls)
-        for f in fields(cls):
-            if f.name not in _FROM_DATA:
-                keys.setdefault(_KEY.get(f.name, f.name), hints[f.name])
-    return keys
+def _keys(cls) -> Dict[str, object]:
+    """key -> type of each field of ``cls`` that a config sets."""
+    hints = get_type_hints(cls)
+    return {_KEY.get(f.name, f.name): hints[f.name] for f in fields(cls)
+            if f.name not in _FROM_DATA}
 
 
-SCHEMA = {sec: _keys(classes) for sec, classes in _SECTIONS.items()}
+SCHEMA = {sec: _keys(cls) for sec, cls in _SECTIONS.items()}
 
 
 def parse_kv_text(text: str, origin: str = "<config>") -> Dict[str, dict]:
@@ -137,6 +133,15 @@ def _section(name: str, cls, kvs: Mapping[str, object]):
         raise ConfigError(f"[{name}] {exc}") from None
 
 
+def check_image_size(data: DataSection, spec: NetworkSpec, model: str, origin: str = "") -> None:
+    """A synthetic image must halve exactly at each of ``spec``'s taps; the
+    ConfigError names ``model``, where the spec comes from, after ``origin``."""
+    step = 1 << spec.tap_count
+    if data.source == "synthetic" and data.image_size % step:
+        raise ConfigError(f"{origin}[data] image_size must be a positive multiple of "
+                          f"{step} for {model}, got {data.image_size}")
+
+
 def build_config(sections: Dict[str, dict]) -> RunConfig:
     """Assemble a validated RunConfig from parsed sections."""
     for required in ("data", "optim", "schedule", "run"):
@@ -148,20 +153,16 @@ def build_config(sections: Dict[str, dict]) -> RunConfig:
     for name in ("model.teacher", "model.student"):
         if name in secs:
             secs[name]["num_classes"] = data.num_classes
-    built = {name: _section(name, _SECTIONS[name][0], kvs) for name, kvs in secs.items()}
+    built = {name: _section(name, _SECTIONS[name], kvs) for name, kvs in secs.items()}
     for name in ("model.teacher", "model.student"):
-        if data.source == "synthetic" and name in built:
-            step = 1 << sum(built[name].downsample)     # each tap halves the resolution
-            if data.image_size % step:
-                raise ConfigError(f"[data] image_size must be a positive multiple of "
-                                  f"{step} for [{name}], got {data.image_size}")
+        if name in built:
+            check_image_size(data, built[name], f"[{name}]")
     distill, edt = built.get("distill"), None
     if distill is not None:
         n = distill.n_decay
         if n is None:
             n = built["schedule"].milestones[0] if built["schedule"].milestones else 30
-        edt = _section("distill", EdtParams, {**secs["distill"], "alpha": distill.alpha,
-                                              "lam": distill.lam, "n_decay": n})
+        edt = EdtParams(distill.alpha, distill.lam, n)
     return RunConfig(teacher=built.get("model.teacher"), student=built.get("model.student"),
                      data=data, optim=built["optim"], schedule=built["schedule"],
                      distill=distill, edt=edt, run=built["run"])

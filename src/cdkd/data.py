@@ -187,6 +187,8 @@ def iterate_batches(ds: Dataset, batch_size: int, order_seed: Optional[int] = No
                     ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(indices, images, labels) batches in the permutation that ``order_seed``
     draws, or in row order when it is None; only the last batch may be short."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = len(ds)
     order = (np.arange(n) if order_seed is None
              else np.random.default_rng(order_seed).permutation(n))

@@ -4,9 +4,9 @@
 lines. Every key belongs to the section above it. Values are kept as text
 unless a schema types them; a schema also rejects sections and keys it does
 not name. ``parse_value`` and ``format_value`` are the one typed value codec:
-bools are ``true``/``false``, tuples comma-separated with no empty item (bool
-items ``0``/``1``), floats written as ``.10g``; ``format_record`` and
-``parse_record`` apply it to each field of a dataclass, a None field having no line.
+bools are ``true``/``false``, int and float tuples comma-separated with no
+empty item, floats written as ``.10g``; ``format_record`` and ``parse_record``
+apply it to each field of a dataclass, a None field having no line.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ def parse_value(tp, text: str):
         items = [v.strip() for v in text.split(",")] if text.strip() else []
         if "" in items:
             raise ValueError("empty item in the list")
-        if item is bool:
-            if any(v not in ("0", "1") for v in items):
-                raise ValueError("every item must be 0 or 1")
-            return tuple(v == "1" for v in items)
         return tuple(item(v) for v in items)
     if tp is bool:
         if text not in ("true", "false"):
@@ -43,7 +39,7 @@ def format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, tuple):
-        return ",".join(str(int(x)) if isinstance(x, bool) else format_value(x) for x in v)
+        return ",".join(map(format_value, v))
     return f"{v:.10g}" if isinstance(v, float) else str(v)
 
 
@@ -54,9 +50,14 @@ def format_record(obj) -> Dict[str, str]:
 
 def parse_record(cls, kvs: Mapping[str, str]):
     """Inverse of ``format_record``: an Optional field with no line is None;
-    KeyError names any other missing field."""
-    return cls(**{k: None if k not in kvs and type(None) in get_args(t)
-                  else parse_value(t, kvs[k]) for k, t in get_type_hints(cls).items()})
+    KeyError names any other missing field, ValueError a key ``cls`` has no field for."""
+    hints = get_type_hints(cls)
+    args = {k: None if k not in kvs and type(None) in get_args(t) else parse_value(t, kvs[k])
+            for k, t in hints.items()}
+    unknown = [k for k in kvs if k not in hints]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    return cls(**args)
 
 
 def parse_sections(text: str, origin: str, error: type,

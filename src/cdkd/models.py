@@ -1,10 +1,10 @@
 """MiniConvNet: a small configurable CNN family for teacher and student roles.
 
-Stages of conv blocks, optionally residual, with a CIFAR-style stem
-(3x3 stride-1 pad-1 first conv, no pooling) and a global-average-pool +
-dense classifier head. Every stage flagged ``downsample`` halves the
-spatial resolution at its entry and emits its post-activation output as a
-tap, the attachment point for channel distillation.
+Stages of residual conv blocks, with a CIFAR-style stem (3x3 stride-1
+pad-1 first conv, no pooling) and a global-average-pool + dense classifier
+head. Every stage after the first halves the spatial resolution at its
+entry and emits its post-activation output as a tap, the attachment point
+for channel distillation.
 
 Downsampling entry convolutions and residual projections are 2x2 stride-2
 so even extents halve exactly under the conv contract (a 3x3 stride-2
@@ -30,21 +30,17 @@ class NetworkSpec:
     channels: Tuple[int, ...]
     num_classes: int
     blocks: Optional[Tuple[int, ...]] = None          # None: one block per stage
-    downsample: Optional[Tuple[bool, ...]] = None     # None: every stage after the first
     input_channels: int = 3
-    residual: bool = True
 
     def __post_init__(self):
         n = len(self.channels)
-        blocks = (1,) * n if self.blocks is None else self.blocks
-        down = (False,) + (True,) * (n - 1) if self.downsample is None else self.downsample
-        for name, value in (("channels", self.channels), ("blocks", blocks),
-                            ("downsample", down)):
-            object.__setattr__(self, name, tuple(value))
+        object.__setattr__(self, "channels", tuple(self.channels))
+        object.__setattr__(self, "blocks", (1,) * n if self.blocks is None
+                           else tuple(self.blocks))
         if n < 2:
             raise ValueError(f"need >= 2 stages, got {n}")
-        if len(self.blocks) != n or len(self.downsample) != n:
-            raise ValueError("channels/blocks/downsample lengths differ")
+        if len(self.blocks) != n:
+            raise ValueError("channels/blocks lengths differ")
         for key, value, least in (("blocks", min(self.blocks), 1),
                                   ("channels", min(self.channels), 1),
                                   ("num_classes", self.num_classes, 2),
@@ -54,20 +50,16 @@ class NetworkSpec:
 
     @property
     def tap_count(self) -> int:
-        return sum(self.downsample)
+        return len(self.channels) - 1
 
     @property
     def tap_channels(self) -> tuple:
-        return tuple(c for c, d in zip(self.channels, self.downsample) if d)
+        return self.channels[1:]
 
     @classmethod
-    def from_channels(cls, channels, num_classes, blocks=1, input_channels=3,
-                      residual=True) -> "NetworkSpec":
-        """``blocks`` per stage (an int for all), the default downsampling."""
-        if isinstance(blocks, int):
-            blocks = [blocks] * len(channels)
-        return cls(channels, num_classes, blocks, input_channels=input_channels,
-                   residual=residual)
+    def from_channels(cls, channels, num_classes, input_channels=3) -> "NetworkSpec":
+        """One block per stage: ``NetworkSpec(channels, num_classes, input_channels=...)``."""
+        return cls(channels, num_classes, input_channels=input_channels)
 
 
 class Network:
@@ -101,8 +93,9 @@ def _init_conv(rng: np.random.Generator, c_out, c_in, kh, kw) -> np.ndarray:
 def build_network(spec: NetworkSpec, seed: int) -> Network:
     """Deterministically initialized network: fan-in-scaled uniform convs, zero biases.
 
-    A downsampling stage's first block gets a 2x2 conv1 and a 2x2 projection;
-    every other conv1 is 3x3, and a width change gets a 1x1 projection."""
+    The first block of each stage after the first gets a 2x2 conv1 and a 2x2
+    projection; every other conv1 is 3x3, and a width change gets a 1x1
+    projection. Every block has a 3x3 conv2."""
     rng = np.random.default_rng(seed)
     params: dict = {}
 
@@ -110,16 +103,14 @@ def build_network(spec: NetworkSpec, seed: int) -> Network:
         params[name] = Tensor(_init_conv(rng, c_out, c_in, k, k), requires_grad=True)
 
     in_ch = spec.input_channels
-    for si, (out_ch, n_blocks, down) in enumerate(
-            zip(spec.channels, spec.blocks, spec.downsample)):
+    for si, (out_ch, n_blocks) in enumerate(zip(spec.channels, spec.blocks)):
         for bi in range(n_blocks):
             name = f"s{si}b{bi}"
-            entry = down and bi == 0
+            entry = si > 0 and bi == 0
             conv(f"{name}.conv1", out_ch, in_ch, 2 if entry else 3)
-            if spec.residual:
-                conv(f"{name}.conv2", out_ch, out_ch, 3)
-                if entry or in_ch != out_ch:
-                    conv(f"{name}.proj", out_ch, in_ch, 2 if entry else 1)
+            conv(f"{name}.conv2", out_ch, out_ch, 3)
+            if entry or in_ch != out_ch:
+                conv(f"{name}.proj", out_ch, in_ch, 2 if entry else 1)
             in_ch = out_ch
     bound = 1.0 / np.sqrt(in_ch)
     params["fc.w"] = Tensor(
@@ -131,7 +122,7 @@ def build_network(spec: NetworkSpec, seed: int) -> Network:
 
 
 def forward_with_taps(net: Network, batch: Tensor):
-    """Run the network, returning (logits, taps at each downsampling stage).
+    """Run the network, returning (logits, taps at each stage after the first).
 
     Taps are ordered shallow to deep and are the stage output Tensors
     themselves, so recording them never perturbs the logits.
@@ -145,28 +136,25 @@ def forward_with_taps(net: Network, batch: Tensor):
                          f"{spec.input_channels}")
     taps = []
     h, w = x.shape[2], x.shape[3]
-    for si, (n_blocks, down) in enumerate(zip(spec.blocks, spec.downsample)):
-        if down:
+    for si, n_blocks in enumerate(spec.blocks):
+        if si:
             if h < 2 or w < 2 or h % 2 or w % 2:
-                raise ValueError(
-                    f"resolution underflow: stage {si} cannot halve {h}x{w}")
+                raise ValueError(f"resolution underflow: stage {si} cannot halve {h}x{w}")
             h, w = h // 2, w // 2
         for bi in range(n_blocks):
-            x = _forward_block(net.params, f"s{si}b{bi}", x, spec.residual)
-        if down:
+            x = _forward_block(net.params, f"s{si}b{bi}", x)
+        if si:
             taps.append(x)
     pooled = global_avg_pool(x)
     logits = add_bias(pooled @ net.params["fc.w"], net.params["fc.b"])
     return logits, taps
 
 
-def _forward_block(params: dict, name: str, x: Tensor, residual: bool) -> Tensor:
+def _forward_block(params: dict, name: str, x: Tensor) -> Tensor:
     """A 2x2 conv1 is a downsampling entry: it and the projection stride 2."""
     w1 = params[f"{name}.conv1"]
     stride, pad = (2, 0) if w1.shape[-1] == 2 else (1, 1)
     y = conv2d(x, w1, stride=stride, padding=pad).relu()
-    if not residual:
-        return y
     y = conv2d(y, params[f"{name}.conv2"], stride=1, padding=1)
     proj = params.get(f"{name}.proj")
     shortcut = x if proj is None else conv2d(x, proj, stride=stride, padding=0)

@@ -3,7 +3,6 @@ teacher weight schedule for the channel-distillation term."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -53,15 +52,11 @@ def lr_at_epoch(schedule: LrSchedule, lr0: float, epoch: int) -> float:
 
 @dataclass
 class EdtParams:
-    """Early Decay Teacher: weight(epoch) = alpha * lambda^(epoch / n_decay).
-
-    The exponent is a real number (smooth per-epoch decay); ``stepwise``
-    floors it to whole multiples of n_decay instead.
-    """
+    """Early Decay Teacher: weight(epoch) = alpha * lambda^(epoch / n_decay),
+    a real exponent, so the weight decays smoothly epoch by epoch."""
     alpha: float
     lam: float
     n_decay: int
-    stepwise: bool = False
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -75,10 +70,7 @@ class EdtParams:
 def edt_weight(params: EdtParams, epoch: int) -> float:
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
-    exponent = epoch / params.n_decay
-    if params.stepwise:
-        exponent = math.floor(exponent)
-    return params.alpha * params.lam ** exponent
+    return params.alpha * params.lam ** (epoch / params.n_decay)
 
 
 class SgdOptimizer:

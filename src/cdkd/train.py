@@ -137,16 +137,19 @@ RECORDS = {"arch.model": NetworkSpec, "normalize": Normalization, "data": DataSe
 
 def _read_checkpoint(path):
     """(records by header section, tensors by name); a missing section or
-    field, or a malformed value, raises CheckpointError naming the file."""
+    field raises CheckpointError naming the file, a key the section's record
+    has no field for or a malformed value one naming the file and section."""
     header, tensors = load_checkpoint(path)
     secs = parse_sections(header, str(path), CheckpointError)
+    records = {}
     try:
-        records = {sec: parse_record(cls, secs[sec]) for sec, cls in RECORDS.items()
-                   if sec in secs or sec not in ("edt", "teacher")}
+        for sec, cls in RECORDS.items():
+            if sec in secs or sec not in ("edt", "teacher"):
+                records[sec] = parse_record(cls, secs[sec])
     except KeyError as exc:
         raise CheckpointError(f"{path}: no {exc.args[0]!r} in header or tensors") from None
     except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
+        raise CheckpointError(f"{path}: [{sec}] {exc}") from None
     return records, tensors
 
 
@@ -274,9 +277,6 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
                                     spec.input_channels)):
             if t_val != s_val:
                 raise ValueError(f"{what} mismatch: teacher {t_val}, student {s_val}")
-        if cd_on and not spec.tap_count:
-            raise ValueError("channel distillation is on, but the nets have no "
-                             "downsampling stage to tap")
         # the teacher must see inputs normalized as in its own training run
         _refuse_other(teacher_ckpt, "teacher", {"normalize": t_records["normalize"]},
                       {"normalize": records["normalize"]})
@@ -441,11 +441,11 @@ def distill(teacher_ckpt, student_spec: NetworkSpec, train_ds: Dataset,
     The teacher is loaded frozen; only student and adapter parameters enter
     the optimizer. Refused with ValueError before the first step: a teacher
     whose tap count, class count, input channels or normalization stats
-    differ from the run's, CD on nets without taps, with CD on an ``edt``
-    whose alpha, lam or n_decay contradict ``distill_cfg`` (an n_decay of
-    None there accepts any), and a resume checkpoint with a header record
-    that differs from the run's. With alpha=0 and both logit terms disabled
-    this reduces, bit for bit, to plain cross-entropy training of the student.
+    differ from the run's, with CD on an ``edt`` whose alpha, lam or n_decay
+    contradict ``distill_cfg`` (an n_decay of None there accepts any), and a
+    resume checkpoint with a header record that differs from the run's. With
+    alpha=0 and both logit terms disabled this reduces, bit for bit, to plain
+    cross-entropy training of the student.
     """
     if distill_cfg.alpha > 0.0:
         for key in ("alpha", "lam", "n_decay"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cdkd.checkpoint import (BadMagicError, BadVersionError, CheckpointError,
                              ChecksumError, load_checkpoint, save_checkpoint)
 from cdkd.data import channel_stats
-from cdkd.kvtext import parse_record, parse_sections
+from cdkd.kvtext import format_record, parse_record, parse_sections
 from cdkd.losses import DistillConfig
 from cdkd.optim import EdtParams, LrSchedule, SgdConfig
 from cdkd.train import (RECORDS, DataSettings, Normalization, TeacherId, TrainState, distill,
@@ -157,6 +157,35 @@ def test_resume_refuses_a_broken_tensor_table(run_ckpt, tiny_data, tiny_specs):
             ("no-velocity.ckpt", no_vel, "no 'vel.s0b0.conv1' in header or tensors")):
         path = root / name
         save_checkpoint(path, header, table)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {why}')}$"):
+            distill(root / "teacher" / "final.ckpt", tiny_specs[1], train, val,
+                    DistillConfig(), SgdConfig(lr0=0.05), LrSchedule((10,), 0.1),
+                    EdtParams(1.0, 0.5, 10), epochs=2, seed=2, out_dir=root / "resumed",
+                    batch_size=32, resume_from=path)
+
+
+def test_header_keys_no_record_has_are_refused(run_ckpt, tiny_data, tiny_specs):
+    """A header key its section's record has no field for is refused, naming
+    the file, the section and the key: a header written while NetworkSpec had
+    residual and downsample, or EdtParams stepwise, does not resume as the
+    residual net or the smooth decay of today."""
+    root, body = run_ckpt
+    train, val = tiny_data
+    with pytest.raises(ValueError, match="^unknown key 'nesterov'$"):
+        parse_record(SgdConfig, {**format_record(SgdConfig(lr0=0.1)), "nesterov": "true"})
+    _reseal(root / "whole.ckpt", body)
+    header, tensors = load_checkpoint(root / "whole.ckpt")
+    blocks, edt = "blocks = 1,1\ninput_channels = 3\n", "n_decay = 10\n[teacher]"
+    assert blocks in header and edt in header
+    for name, old, new, why in (
+            ("downsample.ckpt", blocks, "blocks = 1,1\ndownsample = 0,1\ninput_channels = 3\n",
+             "[arch.model] unknown key 'downsample'"),
+            ("plain.ckpt", blocks, blocks + "residual = false\n",
+             "[arch.model] unknown key 'residual'"),
+            ("stepwise.ckpt", edt, "n_decay = 10\nstepwise = true\n[teacher]",
+             "[edt] unknown key 'stepwise'")):
+        path = root / name
+        save_checkpoint(path, header.replace(old, new), tensors)
         with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {why}')}$"):
             distill(root / "teacher" / "final.ckpt", tiny_specs[1], train, val,
                     DistillConfig(), SgdConfig(lr0=0.05), LrSchedule((10,), 0.1),

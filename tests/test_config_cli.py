@@ -86,8 +86,8 @@ def test_unknown_section_rejected():
 
 def test_type_violation_is_diagnosed():
     for text, where in (("[optim]\nlr0 = fast\n", "<t>:2: cannot parse lr0"),
-                        ("[model.student]\nchannels = 4,8,16\ndownsample = 0,yes,1\n",
-                         "<t>:3: cannot parse downsample"),
+                        ("[model.student]\nchannels = 4,8,16\nblocks = 1,x\n",
+                         "<t>:3: cannot parse blocks"),
                         ("[model.student]\nchannels = 4,,8\n",
                          "<t>:2: cannot parse channels = '4,,8': empty item"),
                         ("[schedule]\nfactor = 0.1\nmilestones = 30,\n",
@@ -165,13 +165,6 @@ def test_n_decay_defaults_to_first_milestone(tmp_path):
     path.write_text(TINY_CONFIG.format(out=tmp_path).replace("n_decay = 2\n", ""))
     cfg = load_config(path=path)
     assert cfg.edt.n_decay == 50
-
-
-def test_edt_stepwise_flag_reaches_schedule(tmp_path):
-    path = tmp_path / "c.conf"
-    path.write_text(TINY_CONFIG.format(out=tmp_path) + "\n[distill]\nedt_stepwise = true\n")
-    cfg = load_config(path=path)
-    assert cfg.edt.stepwise is True
 
 
 def test_config_file_overrides_preset(tmp_path):
@@ -302,12 +295,22 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
 
 
 def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, capsys):
-    conf, teacher_out, _ = cli_run
+    """A checkpoint whose header lacks a section or field, or has a key its
+    record has no field for (as one written while NetworkSpec had residual
+    and downsample and EdtParams had stepwise), or whose tensor table lacks
+    a parameter, is one error line naming the file."""
+    conf, teacher_out, student_out = cli_run
     header, tensors = load_checkpoint(teacher_out / "final.ckpt")
     no_arch = header.replace("[arch.model]", "[arch.other]")
-    arch = "channels = 4,6\nnum_classes = 4\nblocks = 1,1\ndownsample = 0,1\n"
+    arch = "channels = 4,6\nnum_classes = 4\nblocks = 1,1\ninput_channels = 3\n"
     assert arch in header
     old_format = header.replace(arch, "stages = 1x4,1x6d\nnum_classes = 4\n")
+    older_arch = header.replace(arch, "channels = 4,6\nnum_classes = 4\nblocks = 1,1\n"
+                                "downsample = 0,1\ninput_channels = 3\nresidual = true\n")
+    s_header, s_tensors = load_checkpoint(student_out / "final.ckpt")
+    edt = "[edt]\nalpha = 1\nlam = 0.5\nn_decay = 2\n"
+    assert edt in s_header
+    older_edt = s_header.replace(edt, edt + "stepwise = false\n")
     no_data = re.sub(r"\[data\]\n[^[]*", "", header)   # as written before [data] existed
     assert no_data != header
     rows_data = re.sub(r"(?m)^crc = \d+$", "rows = 96", header)  # before [data] crc existed
@@ -317,18 +320,43 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
     assert sub_seeds != header
     short_table = dict(tensors)
     short_table.pop("fc.b")
-    for name, head, table, why in (("no-arch.ckpt", no_arch, tensors, "'arch.model'"),
-                                   ("old-format.ckpt", old_format, tensors, "'channels'"),
-                                   ("no-data.ckpt", no_data, tensors, "'data'"),
-                                   ("rows-data.ckpt", rows_data, tensors, "'crc'"),
-                                   ("sub-seeds.ckpt", sub_seeds, tensors, "'seed'"),
-                                   ("no-fc-b.ckpt", header, short_table, "'fc.b'")):
+    missing = "no {} in header or tensors".format
+    for name, head, table, why in (
+            ("no-arch.ckpt", no_arch, tensors, missing("'arch.model'")),
+            ("old-format.ckpt", old_format, tensors, missing("'channels'")),
+            ("no-data.ckpt", no_data, tensors, missing("'data'")),
+            ("rows-data.ckpt", rows_data, tensors, missing("'crc'")),
+            ("sub-seeds.ckpt", sub_seeds, tensors, missing("'seed'")),
+            ("no-fc-b.ckpt", header, short_table, missing("'fc.b'")),
+            ("older-arch.ckpt", older_arch, tensors, "[arch.model] unknown key 'downsample'"),
+            ("older-edt.ckpt", older_edt, s_tensors, "[edt] unknown key 'stepwise'")):
         path = tmp_path / name
         save_checkpoint(path, head, table)     # CRC-valid, contents incomplete
         capsys.readouterr()
         assert main(["eval", "--config", str(conf), "--ckpt", str(path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {path}: no {why} in header or tensors"]
+        assert err == [f"error: {path}: {why}"]
+
+
+def test_cli_eval_refuses_an_image_size_the_checkpoint_cannot_halve(cli_run, tmp_path,
+                                                                     capsys):
+    """A 4-6-8 checkpoint halves twice, so it needs a multiple of 4: [data]
+    image_size = 6 is one error line naming the config, the key and the
+    checkpoint, before the forward pass."""
+    conf, teacher_out, _ = cli_run
+    header, _ = load_checkpoint(teacher_out / "final.ckpt")
+    deeper = header.replace("channels = 4,6\n", "channels = 4,6,8\n").replace(
+        "blocks = 1,1\n", "blocks = 1,1,1\n")
+    net = build_network(NetworkSpec(channels=(4, 6, 8), num_classes=4), seed=0)
+    ckpt = tmp_path / "deeper.ckpt"
+    save_checkpoint(ckpt, deeper, {n: p.data for n, p in net.parameters()})
+    six = tmp_path / "six.conf"
+    six.write_text(conf.read_text() + "\n[data]\nimage_size = 6\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(six), "--ckpt", str(ckpt)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {six}: [data] image_size must be a positive multiple of 4 for {ckpt}, got 6"]
+    assert main(["eval", "--config", str(conf), "--ckpt", str(ckpt)]) == 0
 
 
 def test_cli_eval_with_other_class_count_names_both_files(cli_run, tmp_path, capsys):

@@ -44,13 +44,6 @@ def test_parameter_count_matches_hand_count():
     assert parameter_count(spec) == hand
 
 
-def test_parameter_count_plain_blocks():
-    # without residual connections each block is a single conv
-    spec = NetworkSpec.from_channels([8, 16], num_classes=10, residual=False)
-    hand = 8 * 3 * 9 + 16 * 8 * 4 + (16 * 10 + 10)
-    assert parameter_count(spec) == hand
-
-
 def test_classifier_width_equals_num_classes():
     net = build_network(NetworkSpec.from_channels([4, 8], num_classes=10), seed=0)
     assert net.params["fc.w"].shape == (8, 10)
@@ -62,7 +55,6 @@ def test_spec_validation_errors():
                         ({"channels": (0, 4)}, "channels must be >= 1, got 0"),
                         ({"channels": (4, 8), "blocks": (1, 0)}, "blocks must be >= 1"),
                         ({"channels": (4, 8), "blocks": (1,)}, "lengths differ"),
-                        ({"channels": (4, 8), "downsample": (0, 1, 1)}, "lengths differ"),
                         ({"channels": (4, 8), "num_classes": 1}, "num_classes"),
                         ({"channels": (4, 8), "input_channels": 0}, "input_channels")):
         with pytest.raises(ValueError, match=why):
@@ -92,7 +84,7 @@ def test_taps_are_pure_observations():
     at half the extent before it, and the deepest tap is the very map the head
     pools: the logits follow from it bit for bit."""
     spec = NetworkSpec.from_channels([4, 8, 16], num_classes=5)
-    assert spec.downsample == (False, True, True)
+    assert (spec.tap_count, spec.tap_channels) == (2, (8, 16))
     net = build_network(spec, seed=2)
     x = Tensor(np.random.default_rng(1).uniform(size=(2, 3, 8, 8)).astype(np.float32))
     logits, taps = forward_with_taps(net, x)
@@ -173,14 +165,14 @@ def test_paired_specs_have_equal_taps():
 
 
 def test_spec_text_round_trip():
-    spec = NetworkSpec((8, 16, 32), num_classes=11, blocks=(2, 1, 3),
-                       downsample=(False, True, True), input_channels=1, residual=False)
+    spec = NetworkSpec((8, 16, 32), num_classes=11, blocks=(2, 1, 3), input_channels=1)
     text = format_record(spec)
     assert text == {"channels": "8,16,32", "num_classes": "11", "blocks": "2,1,3",
-                    "downsample": "0,1,1", "input_channels": "1", "residual": "false"}
+                    "input_channels": "1"}
     assert parse_record(NetworkSpec, text) == spec
-    default = NetworkSpec([4, 8, 16], num_classes=4)     # one block; all but the first halve
-    assert (default.blocks, default.downsample) == ((1, 1, 1), (False, True, True))
+    default = NetworkSpec([4, 8, 16], num_classes=4)     # one block per stage
+    assert default.blocks == (1, 1, 1)
+    assert default == NetworkSpec.from_channels((4, 8, 16), num_classes=4)
     assert parse_record(NetworkSpec, format_record(default)) == default
 
 
@@ -189,21 +181,21 @@ def test_spec_text_round_trip():
 
 def documented_shapes(spec: NetworkSpec) -> dict:
     """Parameter name -> shape under the README's rules: conv1 is 3x3, or 2x2
-    on a downsampling stage's first block (its entry); a residual block adds a
-    3x3 conv2 and, on its entry, a 2x2 projection, elsewhere a 1x1 projection
-    where the width changes; then the [c, classes] classifier and its bias."""
+    on the first block (the entry) of each stage after the first; every block
+    adds a 3x3 conv2 and, on its entry, a 2x2 projection, elsewhere a 1x1
+    projection where the width changes; then the [c, classes] classifier and
+    its bias."""
     shapes = {}
     in_ch = spec.input_channels
-    for si, (c, n, down) in enumerate(zip(spec.channels, spec.blocks, spec.downsample)):
+    for si, (c, n) in enumerate(zip(spec.channels, spec.blocks)):
         for bi in range(n):
-            name, k = f"s{si}b{bi}", 2 if down and bi == 0 else 3
+            name, k = f"s{si}b{bi}", 2 if si > 0 and bi == 0 else 3
             shapes[f"{name}.conv1"] = (c, in_ch, k, k)
-            if spec.residual:
-                shapes[f"{name}.conv2"] = (c, c, 3, 3)
-                if k == 2:
-                    shapes[f"{name}.proj"] = (c, in_ch, 2, 2)
-                elif in_ch != c:
-                    shapes[f"{name}.proj"] = (c, in_ch, 1, 1)
+            shapes[f"{name}.conv2"] = (c, c, 3, 3)
+            if k == 2:
+                shapes[f"{name}.proj"] = (c, in_ch, 2, 2)
+            elif in_ch != c:
+                shapes[f"{name}.proj"] = (c, in_ch, 1, 1)
             in_ch = c
     shapes["fc.w"], shapes["fc.b"] = (in_ch, spec.num_classes), (spec.num_classes,)
     return shapes
@@ -211,25 +203,23 @@ def documented_shapes(spec: NetworkSpec) -> dict:
 
 def documented_forward(spec: NetworkSpec, params: dict, x: Tensor):
     """(logits, taps) under the README's rules: a 3x3 conv1 has stride 1 and
-    pad 1, a 2x2 one stride 2 and pad 0; conv1 -> relu, and for a residual
-    block conv2 (3x3, pad 1) plus the shortcut (the input, or its projection:
-    2x2 stride 2 on the entry block, 1x1 on a width change) -> relu. Each
-    downsampling stage's output is a tap; the head is GAP then the classifier."""
+    pad 1, a 2x2 one stride 2 and pad 0; conv1 -> relu, then conv2 (3x3,
+    pad 1) plus the shortcut (the input, or its projection: 2x2 stride 2 on
+    the entry block, 1x1 on a width change) -> relu. The output of each stage
+    after the first is a tap; the head is GAP then the classifier."""
     taps = []
     in_ch = spec.input_channels
-    for si, (c, n, down) in enumerate(zip(spec.channels, spec.blocks, spec.downsample)):
+    for si, (c, n) in enumerate(zip(spec.channels, spec.blocks)):
         for bi in range(n):
-            name, entry = f"s{si}b{bi}", down and bi == 0
+            name, entry = f"s{si}b{bi}", si > 0 and bi == 0
             stride = 2 if entry else 1
             y = conv2d(x, params[f"{name}.conv1"], stride=stride, padding=0 if entry else 1)
             y = y.relu()
-            if spec.residual:
-                y = conv2d(y, params[f"{name}.conv2"], stride=1, padding=1)
-                if entry or in_ch != c:
-                    x = conv2d(x, params[f"{name}.proj"], stride=stride, padding=0)
-                y = (y + x).relu()
-            x, in_ch = y, c
-        if down:
+            y = conv2d(y, params[f"{name}.conv2"], stride=1, padding=1)
+            if entry or in_ch != c:
+                x = conv2d(x, params[f"{name}.proj"], stride=stride, padding=0)
+            x, in_ch = (y + x).relu(), c
+        if si > 0:
             taps.append(x)
     return add_bias(global_avg_pool(x) @ params["fc.w"], params["fc.b"]), taps
 
@@ -240,9 +230,7 @@ def _specs(draw):
     per_stage = lambda values: tuple(draw(st.lists(values, min_size=n, max_size=n)))
     return NetworkSpec(per_stage(st.integers(1, 5)), num_classes=draw(st.integers(2, 4)),
                        blocks=per_stage(st.integers(1, 3)),
-                       downsample=per_stage(st.booleans()),
-                       input_channels=draw(st.sampled_from([1, 3])),
-                       residual=draw(st.booleans()))
+                       input_channels=draw(st.sampled_from([1, 3])))
 
 
 @settings(max_examples=60, deadline=None)

@@ -141,13 +141,6 @@ def test_edt_constant_when_lambda_one_or_alpha_zero():
     assert all(edt_weight(EdtParams(0.0, 0.5, 10), e) == 0.0 for e in range(20))
 
 
-def test_edt_stepwise_variant_floors_exponent():
-    p = EdtParams(alpha=1.0, lam=0.5, n_decay=10, stepwise=True)
-    assert edt_weight(p, 9) == pytest.approx(1.0)
-    assert edt_weight(p, 10) == pytest.approx(0.5)
-    assert edt_weight(p, 19) == pytest.approx(0.5)
-
-
 def test_edt_param_validation():
     with pytest.raises(ValueError):
         EdtParams(alpha=-0.1, lam=0.5, n_decay=10)

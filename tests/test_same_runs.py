@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from cdkd.checkpoint import load_checkpoint, save_checkpoint
 from cdkd.optim import LrSchedule, SgdConfig
 from cdkd.train import CSV_COLUMNS, train_teacher
 
@@ -64,6 +65,21 @@ def test_a_checkpoint_names_the_first_header_section_that_differs(two_runs, tmp_
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 4 and out[0].startswith("best.ckpt: header [state] seed: 0 != 1")
     assert out[3].startswith("metrics.csv: line 2 column ")
+
+
+def test_a_header_edit_names_every_key_and_whether_the_tensors_kept(two_runs, tmp_path,
+                                                                   capsys):
+    """A checkpoint whose header differs in two keys of two sections, with
+    every tensor kept, names both keys and says the tensors are equal."""
+    a, b = two_runs
+    copy = shutil.copytree(b / "run", tmp_path / "run")
+    header, tensors = load_checkpoint(copy / "final.ckpt")
+    edited = header.replace("input_channels = 3\n", "").replace("lr0 = 0.05", "lr0 = 0.5")
+    save_checkpoint(copy / "final.ckpt", edited, tensors)
+    assert same_runs.main([str(a / "run"), str(copy)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "final.ckpt: header [arch.model] input_channels: 3 != (none); "
+        "header [optim] lr0: 0.05 != 0.5; tensors equal"]
 
 
 def test_a_tree_with_no_run_files_is_refused(two_runs, tmp_path, capsys):

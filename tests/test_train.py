@@ -101,6 +101,20 @@ def test_fit_refuses_a_batch_size_below_one_before_the_out_dir(tiny_data, tiny_s
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("batch_size", [0, -2])
+def test_evaluate_and_the_batch_walk_refuse_a_batch_size_below_one(tiny_data, tiny_specs,
+                                                                    batch_size):
+    """Called directly, evaluate and iterate_batches name the batch size they
+    cannot walk in, as _fit's record does."""
+    _, val = tiny_data
+    net = build_network(tiny_specs[1], seed=0)
+    why = f"^batch_size must be >= 1, got {batch_size}$"
+    with pytest.raises(ValueError, match=why):
+        evaluate(net, val, *channel_stats(val), batch_size)
+    with pytest.raises(ValueError, match=why):
+        next(iterate_batches(val, batch_size, order_seed=3))
+
+
 def test_fit_evaluates_in_the_run_batch_size(tiny_data, tiny_specs, tmp_path, monkeypatch):
     train, val = tiny_data
     sizes = []
@@ -197,8 +211,7 @@ def test_distill_keeps_teacher_frozen_and_moves_student(tiny_data, tiny_specs, t
 
 def test_distill_tap_count_mismatch_rejected(tiny_data, tmp_path, monkeypatch):
     """A teacher whose taps, classes or input channels do not match the
-    student, or CD on nets with no taps, is refused before any step, with or
-    without GKD."""
+    student is refused before any step, with or without GKD."""
     train, val = tiny_data
     six = [make_synthetic(6, 8, 8, seed=7, split=s) for s in ("train", "val")]
     gray = [Dataset(d.images[:, :1].copy(), d.labels, d.class_count)
@@ -206,7 +219,6 @@ def test_distill_tap_count_mismatch_rejected(tiny_data, tmp_path, monkeypatch):
     cd_only = DistillConfig(alpha=1.0, gkd_enabled=False, n_decay=5)
     cd_gkd = DistillConfig(alpha=1.0, gkd_enabled=True, n_decay=5)
     four = NetworkSpec.from_channels([4, 6], num_classes=4)
-    flat = NetworkSpec((4, 6), num_classes=4, downsample=(False, False))
     cases = [
         ("tap count mismatch", four, tiny_data,
          NetworkSpec.from_channels([4, 6, 8], num_classes=4),
@@ -218,7 +230,6 @@ def test_distill_tap_count_mismatch_rejected(tiny_data, tmp_path, monkeypatch):
         ("input channel mismatch",
          NetworkSpec.from_channels([4, 6], num_classes=4, input_channels=1), gray,
          four, cd_gkd),
-        ("no downsampling stage to tap", flat, tiny_data, flat, cd_gkd),
     ]
     calls = count_teacher_forwards(monkeypatch)
     for k, (what, t_spec, t_data, s_spec, cfg) in enumerate(cases):

@@ -6,9 +6,11 @@ Files are paired by their path relative to A and to B. Each ``metrics.csv``
 must match with its ``wall_seconds`` column dropped, and each ``*.ckpt``
 must match byte for byte; no other file is compared. The exit status is 0
 when every pair matches. Otherwise each differing or one-sided file gets one
-line, which for a checkpoint names the first header section, or else the
-first tensor, that differs, and the exit status is 1. A tree with neither
-kind of file is refused with exit status 2.
+line, and the exit status is 1. A checkpoint's line names every header key
+that differs, then the first tensor that differs, or "tensors equal" when
+only the header does; so a change that edits the header on purpose shows
+that it kept every tensor. A tree with neither kind of file is refused with
+exit status 2.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ def csv_difference(a: Path, b: Path):
 
 
 def ckpt_difference(a: Path, b: Path):
-    """None, or the first header section, else the first tensor, where the
-    two checkpoints differ."""
+    """None, or every header key where the two checkpoints differ and then
+    the first differing tensor (or "tensors equal"), joined by "; "."""
     if a.read_bytes() == b.read_bytes():
         return None
     try:
@@ -64,19 +66,23 @@ def ckpt_difference(a: Path, b: Path):
         sb = parse_sections(hb, str(b), CheckpointError)
     except CheckpointError as exc:
         return f"bytes differ and a file does not load: {exc}"
+    parts = []
     for sec in dict.fromkeys([*sa, *sb]):
         xa, xb = sa.get(sec, {}), sb.get(sec, {})
-        for key in dict.fromkeys([*xa, *xb]):
-            if xa.get(key) != xb.get(key):
-                return (f"header [{sec}] {key}: {xa.get(key, '(none)')} != "
-                        f"{xb.get(key, '(none)')}")
+        parts += [f"header [{sec}] {key}: {xa.get(key, '(none)')} != {xb.get(key, '(none)')}"
+                  for key in dict.fromkeys([*xa, *xb]) if xa.get(key) != xb.get(key)]
+    tensors = "tensors equal"
     for name in dict.fromkeys([*ta, *tb]):
         x, y = ta.get(name), tb.get(name)
         if x is None or y is None:
-            return f"tensor {name}: only in {a if y is None else b}"
+            tensors = f"tensor {name}: only in {a if y is None else b}"
+            break
         if x.shape != y.shape or x.tobytes() != y.tobytes():
-            return f"tensor {name} differs"
-    return "bytes differ in layout (header or tensor order)"
+            tensors = f"tensor {name} differs"
+            break
+    if not parts and tensors == "tensors equal":
+        return "bytes differ in layout (header or tensor order)"
+    return "; ".join(parts + [tensors])
 
 
 def differences(root_a: Path, root_b: Path) -> list:
