@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Dict, Mapping, Optional, get_type_hints
 
-from .data import Dataset, load_cifar_binary, make_synthetic
+from .data import _CIFAR_SHAPE, Dataset, load_cifar_binary, make_synthetic
 from .kvtext import emit_sections, format_value, parse_sections
 from .losses import DistillConfig
 from .models import NetworkSpec
@@ -134,12 +134,16 @@ def _section(name: str, cls, kvs: Mapping[str, object]):
 
 
 def check_image_size(data: DataSection, spec: NetworkSpec, model: str, origin: str = "") -> None:
-    """A synthetic image must halve exactly at each of ``spec``'s taps; the
-    ConfigError names ``model``, where the spec comes from, after ``origin``."""
+    """The image, synthetic or the decoder's 32x32 CIFAR, must halve exactly
+    at each of ``spec``'s taps; the ConfigError names ``model``, where the
+    spec comes from, after ``origin``."""
     step = 1 << spec.tap_count
-    if data.source == "synthetic" and data.image_size % step:
+    synthetic = data.source == "synthetic"
+    size = data.image_size if synthetic else _CIFAR_SHAPE[-1]
+    if size % step:
+        got = size if synthetic else f"{size}x{size} {data.source} images"
         raise ConfigError(f"{origin}[data] image_size must be a positive multiple of "
-                          f"{step} for {model}, got {data.image_size}")
+                          f"{step} for {model}, got {got}")
 
 
 def build_config(sections: Dict[str, dict]) -> RunConfig:

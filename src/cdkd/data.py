@@ -67,7 +67,7 @@ class AugmentConfig:
     def __post_init__(self):
         self.channel_means = np.asarray(self.channel_means, dtype=np.float32)
         self.channel_stds = np.asarray(self.channel_stds, dtype=np.float32)
-        if np.any(self.channel_stds <= 0):
+        if not np.all(self.channel_stds > 0):
             raise ValueError("channel stds must be strictly positive")
         if self.pad < 0:
             raise ValueError(f"pad must be non-negative, got {self.pad}")

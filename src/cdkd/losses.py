@@ -45,20 +45,16 @@ class DistillConfig:
     lam: float = 0.5
     n_decay: Optional[int] = None   # None: resolved to the first LR milestone
     gkd_enabled: bool = True
-    plain_kd_fallback: bool = False
-    kd_t_squared: bool = False
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
         if not (0.0 < self.lam <= 1.0):
             raise ValueError(f"lambda must be in (0, 1], got {self.lam}")
         if self.n_decay is not None and self.n_decay < 1:
             raise ValueError(f"n_decay must be positive, got {self.n_decay}")
-        if self.gkd_enabled and self.plain_kd_fallback:
-            raise ValueError("gkd_enabled and plain_kd_fallback are mutually exclusive")
 
 
 def channel_weights(feature: Tensor) -> Tensor:
@@ -79,7 +75,7 @@ def cd_loss(ws: Tensor, wt: Tensor) -> Tensor:
 
 
 def _masked_kl(student_logits: Tensor, teacher_logits: Tensor, mask: np.ndarray,
-               temperature: float, t_squared: bool) -> Tensor:
+               temperature: float) -> Tensor:
     """sum_i mask_i * KL(p_t^i || p_s^i) / sum(mask), via one fused kernel.
 
     kd_loss and gkd_loss both route through here (kd is the all-ones mask),
@@ -94,34 +90,22 @@ def _masked_kl(student_logits: Tensor, teacher_logits: Tensor, mask: np.ndarray,
     entropy_term = float((mask * plogp.sum(axis=1)).sum() / denom)
     p_s = softened_softmax(student_logits, temperature)
     cross = (Tensor(coef) * p_s.log()).sum()
-    kl = entropy_term - cross
-    if t_squared:
-        kl = kl * (temperature * temperature)
-    return kl
+    return entropy_term - cross
 
 
-def kd_loss(student_logits: Tensor, teacher_logits: Tensor, temperature: float,
-            t_squared: bool = False) -> Tensor:
+def kd_loss(student_logits: Tensor, teacher_logits: Tensor, temperature: float) -> Tensor:
     """Batch-mean KL between softened teacher and student distributions."""
     if student_logits.shape != teacher_logits.shape:
         raise ValueError(f"kd_loss: shape mismatch {student_logits.shape} vs "
                          f"{teacher_logits.shape}")
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"kd_loss: temperature must be positive, got {temperature}")
     n = student_logits.shape[0]
     return _masked_kl(student_logits, teacher_logits,
-                      np.ones(n, dtype=np.float64), temperature, t_squared)
+                      np.ones(n, dtype=np.float64), temperature)
 
 
-def teacher_correct_mask(teacher_logits: Tensor, labels: np.ndarray) -> np.ndarray:
-    """Indicator of samples where the teacher's argmax (lowest index on ties)
-    equals the label."""
-    pred = np.argmax(teacher_logits.data, axis=1)
-    return (pred == labels).astype(np.float64)
-
-
-def gkd_loss(student_logits: Tensor, teacher_logits: Tensor, labels,
-             temperature: float, t_squared: bool = False):
+def gkd_loss(student_logits: Tensor, teacher_logits: Tensor, labels, temperature: float):
     """KD restricted to teacher-correct samples.
 
     Returns (loss, correct_count). With no correct samples the indicator
@@ -131,17 +115,18 @@ def gkd_loss(student_logits: Tensor, teacher_logits: Tensor, labels,
     if student_logits.shape != teacher_logits.shape:
         raise ValueError(f"gkd_loss: shape mismatch {student_logits.shape} vs "
                          f"{teacher_logits.shape}")
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"gkd_loss: temperature must be positive, got {temperature}")
     labels = np.asarray(labels)
     k = student_logits.shape[1]
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"gkd_loss: label out of range [0, {k})")
-    mask = teacher_correct_mask(teacher_logits, labels)
+    # the teacher is right where its argmax (lowest index on ties) is the label
+    mask = (np.argmax(teacher_logits.data, axis=1) == labels).astype(np.float64)
     count = int(mask.sum())
     if count == 0:
         return Tensor(0.0), 0
-    return _masked_kl(student_logits, teacher_logits, mask, temperature, t_squared), count
+    return _masked_kl(student_logits, teacher_logits, mask, temperature), count
 
 
 def ce_loss(student_logits: Tensor, labels) -> Tensor:
@@ -158,14 +143,14 @@ def ce_loss(student_logits: Tensor, labels) -> Tensor:
 
 def total_loss(cd_terms: Sequence[Tensor], gkd: Optional[Tensor], ce: Tensor,
                edt_weight: float) -> LossBreakdown:
-    """Combine the per-tap CD terms (averaged), GKD/KD, and CE into Eq-style
+    """Combine the per-tap CD terms (averaged), GKD, and CE into Eq-style
     total = edt_weight * cd + gkd + ce.
 
-    Pass gkd=None when no teacher-logit term is active, and no cd_terms when
-    channel distillation is off (its gradient then never exists, rather than
-    being multiplied to zero).
+    Pass gkd=None when GKD is off, and no cd_terms when channel distillation
+    is off (its gradient then never exists, rather than being multiplied to
+    zero).
     """
-    if edt_weight < 0:
+    if not edt_weight >= 0:
         raise ValueError(f"edt_weight must be non-negative, got {edt_weight}")
     # the per-term kernels run in float32; this final scalar combination is
     # float64 so total == edt_weight*cd + gkd + ce holds far inside 1e-6

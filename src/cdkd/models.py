@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -90,34 +90,42 @@ def _init_conv(rng: np.random.Generator, c_out, c_in, kh, kw) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(c_out, c_in, kh, kw)).astype(np.float32)
 
 
-def build_network(spec: NetworkSpec, seed: int) -> Network:
-    """Deterministically initialized network: fan-in-scaled uniform convs, zero biases.
+def param_shapes(spec: NetworkSpec) -> Dict[str, Tuple[int, ...]]:
+    """Each parameter's shape by name, in build order; allocates nothing.
 
     The first block of each stage after the first gets a 2x2 conv1 and a 2x2
     projection; every other conv1 is 3x3, and a width change gets a 1x1
     projection. Every block has a 3x3 conv2."""
-    rng = np.random.default_rng(seed)
-    params: dict = {}
-
-    def conv(name, c_out, c_in, k):
-        params[name] = Tensor(_init_conv(rng, c_out, c_in, k, k), requires_grad=True)
-
+    shapes = {}
     in_ch = spec.input_channels
     for si, (out_ch, n_blocks) in enumerate(zip(spec.channels, spec.blocks)):
         for bi in range(n_blocks):
             name = f"s{si}b{bi}"
             entry = si > 0 and bi == 0
-            conv(f"{name}.conv1", out_ch, in_ch, 2 if entry else 3)
-            conv(f"{name}.conv2", out_ch, out_ch, 3)
+            k1, kp = (2, 2) if entry else (3, 1)
+            shapes[f"{name}.conv1"] = (out_ch, in_ch, k1, k1)
+            shapes[f"{name}.conv2"] = (out_ch, out_ch, 3, 3)
             if entry or in_ch != out_ch:
-                conv(f"{name}.proj", out_ch, in_ch, 2 if entry else 1)
+                shapes[f"{name}.proj"] = (out_ch, in_ch, kp, kp)
             in_ch = out_ch
-    bound = 1.0 / np.sqrt(in_ch)
-    params["fc.w"] = Tensor(
-        rng.uniform(-bound, bound, size=(in_ch, spec.num_classes)).astype(np.float32),
-        requires_grad=True)
-    params["fc.b"] = Tensor(np.zeros(spec.num_classes, dtype=np.float32),
-                            requires_grad=True)
+    shapes["fc.w"], shapes["fc.b"] = (in_ch, spec.num_classes), (spec.num_classes,)
+    return shapes
+
+
+def build_network(spec: NetworkSpec, seed: int) -> Network:
+    """Deterministically initialized network of ``param_shapes(spec)``, drawn
+    in that order: fan-in-scaled uniform convs and fc.w, a zero fc.b."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in param_shapes(spec).items():
+        if name == "fc.w":
+            bound = 1.0 / np.sqrt(shape[0])
+            data = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        elif name == "fc.b":
+            data = np.zeros(shape, dtype=np.float32)
+        else:
+            data = _init_conv(rng, *shape)
+        params[name] = Tensor(data, requires_grad=True)
     return Network(spec, params)
 
 

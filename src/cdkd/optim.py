@@ -18,11 +18,11 @@ class SgdConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.lr0 < 0:
+        if not self.lr0 >= 0:
             raise ValueError(f"lr0 must be non-negative, got {self.lr0}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
 
@@ -59,7 +59,7 @@ class EdtParams:
     n_decay: int
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
         if not (0.0 < self.lam <= 1.0):
             raise ValueError(f"lambda must be in (0, 1], got {self.lam}")

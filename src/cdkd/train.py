@@ -25,9 +25,9 @@ from .data import (AugmentConfig, Dataset, augment_batch, channel_stats, iterate
                    normalize)
 from .kvtext import emit_sections, format_record, format_value, parse_record, parse_sections
 from .losses import (DistillConfig, LossBreakdown, cd_loss, ce_loss, channel_weights,
-                     gkd_loss, kd_loss, teacher_correct_mask, total_loss)
+                     gkd_loss, total_loss)
 from .models import (Network, NetworkSpec, adapt_channels, build_network, forward_with_taps,
-                     freeze, make_adapter)
+                     freeze, make_adapter, param_shapes)
 from .optim import EdtParams, LrSchedule, SgdConfig, SgdOptimizer, edt_weight, lr_at_epoch
 from .seeds import derive, derive_epoch
 from .tensor import Tensor, backward, no_grad
@@ -99,13 +99,16 @@ def evaluate(net: Network, ds: Dataset, means: np.ndarray, stds: np.ndarray,
 @dataclass
 class Normalization:
     """The per-channel input means and stds, the header's [normalize]. Held
-    as float32 values, so equal stats compare equal whatever digits spelled them."""
+    as float32 values, so equal stats compare equal whatever digits spelled them;
+    each is finite and each std positive, as ``AugmentConfig`` asks."""
     means: Tuple[float, ...]
     stds: Tuple[float, ...]
 
     def __post_init__(self):
         self.means, self.stds = (tuple(map(float, np.asarray(v, np.float32)))
                                  for v in (self.means, self.stds))
+        if not (np.isfinite(self.means + self.stds).all() and np.greater(self.stds, 0).all()):
+            raise ValueError(f"stats must be finite, stds > 0: got {self.means}, {self.stds}")
 
 
 @dataclass
@@ -165,12 +168,12 @@ def _tensor(path, tensors: Dict[str, np.ndarray], name: str, shape) -> np.ndarra
 
 def load_model_checkpoint(path):
     """(net, records by header section), the net rebuilt from [arch.model]
-    and its parameter tensors."""
+    and its parameter tensors, each checked against the spec before any is used."""
     records, tensors = _read_checkpoint(path)
-    net = build_network(records["arch.model"], seed=0)
-    for name, p in net.parameters():
-        p.data = _tensor(path, tensors, name, p.shape)
-    return net, records
+    spec = records["arch.model"]
+    params = {name: Tensor(_tensor(path, tensors, name, shape), requires_grad=True)
+              for name, shape in param_shapes(spec).items()}
+    return Network(spec, params), records
 
 
 def _refuse_other(path, whose: str, theirs: Dict[str, object], ours: Dict[str, object]):
@@ -217,7 +220,7 @@ class _TeacherTargets:
 def batch_objective(net: Network, adapters: List[Optional[Tensor]], x: Tensor,
                     labels: np.ndarray, t_logits: Optional[Tensor], t_gaps: List[Tensor],
                     cfg: DistillConfig, w_edt: float):
-    """The objective of one batch, edt_weight * CD + GKD (or KD) + CE, for the
+    """The objective of one batch, edt_weight * CD + GKD + CE, for the
     student ``net`` against the teacher's logits and the GAP vector of each of
     its taps: (breakdown, teacher-correct count, student logits, student taps).
     Each student tap gets a CD term through its adapter (``None``: identity),
@@ -225,13 +228,8 @@ def batch_objective(net: Network, adapters: List[Optional[Tensor]], x: Tensor,
     s_logits, s_taps = forward_with_taps(net, x)
     cd_terms = [cd_loss(channel_weights(adapt_channels(kernel, tap)), wt)
                 for kernel, wt, tap in zip(adapters, t_gaps, s_taps)]
-    gkd_term = None
-    cnt = 0
-    if cfg.gkd_enabled:
-        gkd_term, cnt = gkd_loss(s_logits, t_logits, labels, cfg.temperature, cfg.kd_t_squared)
-    elif cfg.plain_kd_fallback:
-        gkd_term = kd_loss(s_logits, t_logits, cfg.temperature, cfg.kd_t_squared)
-        cnt = int(teacher_correct_mask(t_logits, labels).sum())
+    gkd_term, cnt = (gkd_loss(s_logits, t_logits, labels, cfg.temperature)
+                     if cfg.gkd_enabled else (None, 0))
     bd = total_loss(cd_terms, gkd_term, ce_loss(s_logits, labels), w_edt)
     return bd, cnt, s_logits, s_taps
 
@@ -262,7 +260,7 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
         records["edt"] = edt
 
     cd_on = distill_cfg.alpha > 0.0
-    need_teacher = cd_on or distill_cfg.gkd_enabled or distill_cfg.plain_kd_fallback
+    need_teacher = cd_on or distill_cfg.gkd_enabled
     if need_teacher and teacher_ckpt is None:
         raise ValueError("distillation terms active but no teacher provided")
 
@@ -436,7 +434,7 @@ def distill(teacher_ckpt, student_spec: NetworkSpec, train_ds: Dataset,
             sched: LrSchedule, edt: EdtParams, epochs: int, seed: int, out_dir,
             batch_size: int = 128, aug_cfg: Optional[AugmentConfig] = None,
             resume_from=None) -> TrainResult:
-    """Teacher-supervised student training with CD, GKD (or plain KD), and EDT.
+    """Teacher-supervised student training with CD, GKD and EDT.
 
     The teacher is loaded frozen; only student and adapter parameters enter
     the optimizer. Refused with ValueError before the first step: a teacher
@@ -444,7 +442,7 @@ def distill(teacher_ckpt, student_spec: NetworkSpec, train_ds: Dataset,
     differ from the run's, with CD on an ``edt`` whose alpha, lam or n_decay
     contradict ``distill_cfg`` (an n_decay of None there accepts any), and a
     resume checkpoint with a header record that differs from the run's. With
-    alpha=0 and both logit terms disabled this reduces, bit for bit, to plain
+    alpha=0 and GKD disabled this reduces, bit for bit, to plain
     cross-entropy training of the student.
     """
     if distill_cfg.alpha > 0.0:

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -167,8 +168,9 @@ def test_resume_refuses_a_broken_tensor_table(run_ckpt, tiny_data, tiny_specs):
 def test_header_keys_no_record_has_are_refused(run_ckpt, tiny_data, tiny_specs):
     """A header key its section's record has no field for is refused, naming
     the file, the section and the key: a header written while NetworkSpec had
-    residual and downsample, or EdtParams stepwise, does not resume as the
-    residual net or the smooth decay of today."""
+    residual and downsample, EdtParams stepwise, or DistillConfig
+    plain_kd_fallback and kd_t_squared, does not resume as the residual net,
+    the smooth decay or the GKD term of today."""
     root, body = run_ckpt
     train, val = tiny_data
     with pytest.raises(ValueError, match="^unknown key 'nesterov'$"):
@@ -176,14 +178,19 @@ def test_header_keys_no_record_has_are_refused(run_ckpt, tiny_data, tiny_specs):
     _reseal(root / "whole.ckpt", body)
     header, tensors = load_checkpoint(root / "whole.ckpt")
     blocks, edt = "blocks = 1,1\ninput_channels = 3\n", "n_decay = 10\n[teacher]"
-    assert blocks in header and edt in header
+    gkd = "gkd_enabled = true\n[edt]"
+    assert blocks in header and edt in header and gkd in header
     for name, old, new, why in (
             ("downsample.ckpt", blocks, "blocks = 1,1\ndownsample = 0,1\ninput_channels = 3\n",
              "[arch.model] unknown key 'downsample'"),
             ("plain.ckpt", blocks, blocks + "residual = false\n",
              "[arch.model] unknown key 'residual'"),
             ("stepwise.ckpt", edt, "n_decay = 10\nstepwise = true\n[teacher]",
-             "[edt] unknown key 'stepwise'")):
+             "[edt] unknown key 'stepwise'"),
+            ("plain-kd.ckpt", gkd, "gkd_enabled = false\nplain_kd_fallback = true\n[edt]",
+             "[distill] unknown key 'plain_kd_fallback'"),
+            ("t-squared.ckpt", gkd, "gkd_enabled = true\nkd_t_squared = true\n[edt]",
+             "[distill] unknown key 'kd_t_squared'")):
         path = root / name
         save_checkpoint(path, header.replace(old, new), tensors)
         with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {why}')}$"):
@@ -191,6 +198,27 @@ def test_header_keys_no_record_has_are_refused(run_ckpt, tiny_data, tiny_specs):
                     DistillConfig(), SgdConfig(lr0=0.05), LrSchedule((10,), 0.1),
                     EdtParams(1.0, 0.5, 10), epochs=2, seed=2, out_dir=root / "resumed",
                     batch_size=32, resume_from=path)
+
+
+def test_a_model_load_checks_every_shape_before_it_allocates(run_ckpt):
+    """A header that claims a 2000-wide last stage over the file's 12-wide
+    tensors is refused naming the first tensor that differs, and nothing of
+    the claimed width is drawn: its 2000x2000 conv2 alone is 288 MB as a
+    float64 draw."""
+    root, _ = run_ckpt
+    header, tensors = load_checkpoint(root / "teacher" / "final.ckpt")
+    assert "channels = 6,12\n" in header
+    path = root / "wide.ckpt"
+    save_checkpoint(path, header.replace("channels = 6,12\n", "channels = 6,2000\n"), tensors)
+    why = "tensor 's1b0.conv1' has shape (12, 6, 2, 2), this run needs (2000, 6, 2, 2)"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {why}')}$"):
+            load_model_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_header_sections_read_back_to_the_records_written(run_ckpt, tiny_data, tiny_specs):

@@ -118,7 +118,6 @@ def test_data_values_are_validated_on_load(tmp_path, overlay, key):
     ("[schedule]\nfactor = 1.5", "schedule"),
     ("[schedule]\nmilestones = 5,3", "schedule"),
     ("[distill]\ntemperature = 0", "distill"),
-    ("[distill]\nplain_kd_fallback = true", "distill"),    # with gkd_enabled = true
     ("[model.student]\nchannels = 4", "model.student"),
     ("[run]\nepochs = -3", "run"),
     ("[schedule]\nmilestones = -5,3", "schedule"),
@@ -297,8 +296,10 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
 def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, capsys):
     """A checkpoint whose header lacks a section or field, or has a key its
     record has no field for (as one written while NetworkSpec had residual
-    and downsample and EdtParams had stepwise), or whose tensor table lacks
-    a parameter, is one error line naming the file."""
+    and downsample, EdtParams had stepwise and DistillConfig had
+    plain_kd_fallback and kd_t_squared), or stats that are not finite or
+    stds of 0, or whose tensor table lacks a parameter, is one error line
+    naming the file: not a divide-by-zero warning and an error rate."""
     conf, teacher_out, student_out = cli_run
     header, tensors = load_checkpoint(teacher_out / "final.ckpt")
     no_arch = header.replace("[arch.model]", "[arch.other]")
@@ -311,6 +312,10 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
     edt = "[edt]\nalpha = 1\nlam = 0.5\nn_decay = 2\n"
     assert edt in s_header
     older_edt = s_header.replace(edt, edt + "stepwise = false\n")
+    gkd = "gkd_enabled = true\n"
+    assert gkd in s_header
+    older_kd, older_t2 = (s_header.replace(gkd, f"{gkd}{key} = false\n")
+                          for key in ("plain_kd_fallback", "kd_t_squared"))
     no_data = re.sub(r"\[data\]\n[^[]*", "", header)   # as written before [data] existed
     assert no_data != header
     rows_data = re.sub(r"(?m)^crc = \d+$", "rows = 96", header)  # before [data] crc existed
@@ -318,6 +323,10 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
     sub_seeds = re.sub(r"(?m)^seed = \d+$", "model_seed = 1\nshuffle_seed = 2\n"
                        "augment_seed = 3\nadapter_seed = 4", header)  # before [state] seed
     assert sub_seeds != header
+    stats = re.compile(r"(?m)^means = .*\nstds = .*$")
+    nan_means, zero_stds = (stats.sub(f"means = {m}\nstds = {s}", header)
+                            for m, s in (("nan,0,0", "1,1,1"), ("0,0,0", "0,0,0")))
+    bad_stats = "[normalize] stats must be finite, stds > 0: got {}".format
     short_table = dict(tensors)
     short_table.pop("fc.b")
     missing = "no {} in header or tensors".format
@@ -329,7 +338,13 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
             ("sub-seeds.ckpt", sub_seeds, tensors, missing("'seed'")),
             ("no-fc-b.ckpt", header, short_table, missing("'fc.b'")),
             ("older-arch.ckpt", older_arch, tensors, "[arch.model] unknown key 'downsample'"),
-            ("older-edt.ckpt", older_edt, s_tensors, "[edt] unknown key 'stepwise'")):
+            ("older-edt.ckpt", older_edt, s_tensors, "[edt] unknown key 'stepwise'"),
+            ("older-kd.ckpt", older_kd, s_tensors, "[distill] unknown key 'plain_kd_fallback'"),
+            ("older-t2.ckpt", older_t2, s_tensors, "[distill] unknown key 'kd_t_squared'"),
+            ("nan-means.ckpt", nan_means, tensors,
+             bad_stats("(nan, 0.0, 0.0), (1.0, 1.0, 1.0)")),
+            ("zero-stds.ckpt", zero_stds, tensors,
+             bad_stats("(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)"))):
         path = tmp_path / name
         save_checkpoint(path, head, table)     # CRC-valid, contents incomplete
         capsys.readouterr()
@@ -357,6 +372,38 @@ def test_cli_eval_refuses_an_image_size_the_checkpoint_cannot_halve(cli_run, tmp
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: {six}: [data] image_size must be a positive multiple of 4 for {ckpt}, got 6"]
     assert main(["eval", "--config", str(conf), "--ckpt", str(ckpt)]) == 0
+
+
+def test_cifar_net_too_deep_for_32x32_is_refused_before_any_file(cli_run, tmp_path, capsys):
+    """CIFAR images are 32x32, so a 7-stage net, which halves 6 times, is
+    refused by build_config and by cdkd eval before a file is written or a
+    forward runs, naming the config, the model section or checkpoint, and 32x32."""
+    conf, teacher_out, _ = cli_run
+    data = tmp_path / "cifar.bin"
+    data.write_bytes(bytes(4 * 3073))       # four black images of class 0
+    cifar = tmp_path / "cifar.conf"
+    cifar.write_text(conf.read_text() + f"\n[data]\nsource = cifar10\npath = {data}\n"
+                                        f"val_path = {data}\n")
+    deep = tmp_path / "deep.conf"
+    deep.write_text(cifar.read_text() + "\n[model.teacher]\nchannels = 4,4,4,4,4,4,4\n")
+    why = "[data] image_size must be a positive multiple of 64 for {}, got 32x32 cifar10 images"
+    with pytest.raises(ConfigError, match=re.escape(f"{deep}: {why.format('[model.teacher]')}")):
+        load_config(path=deep)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["train-teacher", "--config", str(deep), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {deep}: {why.format('[model.teacher]')}"]
+    assert not out.exists()
+    header, _ = load_checkpoint(teacher_out / "final.ckpt")
+    seven = "channels = 4,4,4,4,4,4,4\nnum_classes = 10\nblocks = 1,1,1,1,1,1,1\n"
+    net = build_network(NetworkSpec(channels=(4,) * 7, num_classes=10), seed=0)
+    ckpt = tmp_path / "deep.ckpt"
+    save_checkpoint(ckpt, header.replace("channels = 4,6\nnum_classes = 4\nblocks = 1,1\n",
+                                         seven), {n: p.data for n, p in net.parameters()})
+    assert main(["eval", "--config", str(cifar), "--ckpt", str(ckpt)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {cifar}: {why.format(ckpt)}"]
 
 
 def test_cli_eval_with_other_class_count_names_both_files(cli_run, tmp_path, capsys):

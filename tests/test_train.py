@@ -554,20 +554,25 @@ def test_non_finite_loss_aborts_with_diagnostic(tiny_data, tiny_specs, tmp_path)
     assert (tmp_path / "diagnostic.json").exists()
 
 
-def test_plain_kd_fallback_mode(tiny_data, tiny_specs, tmp_path):
-    train, val = tiny_data
-    teacher_spec, student = tiny_specs
-    tres = train_teacher(teacher_spec, train, val, SGD, SCHED, epochs=2, seed=2,
-                         out_dir=tmp_path / "t", batch_size=32)
-    cfg = DistillConfig(alpha=0.0, gkd_enabled=False, plain_kd_fallback=True,
-                        n_decay=5)
-    res = distill(tres.final_ckpt, student, train, val, cfg, SGD, SCHED,
-                  EdtParams(1.0, 1.0, 5), epochs=1, seed=3,
-                  out_dir=tmp_path / "kd", batch_size=32)
-    row = res.csv_path.read_text().strip().split("\n")[1].split(",")
-    loss_gkd, frac = float(row[5]), float(row[7])
-    assert loss_gkd > 0.0            # unmasked KD value is logged in this column
-    assert 0.0 <= frac <= 1.0
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: DistillConfig(temperature=NAN), id="temperature"),
+    pytest.param(lambda: DistillConfig(alpha=NAN), id="distill-alpha"),
+    pytest.param(lambda: EdtParams(NAN, 0.5, 2), id="edt-alpha"),
+    pytest.param(lambda: SgdConfig(lr0=NAN), id="lr0"),
+    pytest.param(lambda: SgdConfig(lr0=0.1, weight_decay=NAN), id="weight_decay"),
+    pytest.param(lambda: AugmentConfig(np.zeros(3), [1.0, NAN, 1.0]), id="augment-std"),
+    pytest.param(lambda: Normalization((0.5, NAN, 0.5), (1.0,) * 3), id="nan-mean"),
+    pytest.param(lambda: Normalization((0.5,) * 3, (1.0, float("inf"), 1.0)), id="inf-std"),
+    pytest.param(lambda: Normalization((0.5,) * 3, (0.0,) * 3), id="zero-stds"),
+])
+def test_records_refuse_nan_and_broken_stats(make):
+    """Every range check fails on NaN, and the header's [normalize] holds
+    AugmentConfig's rule: finite stats, stds above zero."""
+    with pytest.raises(ValueError, match="must be"):
+        make()
 
 
 def test_best_checkpoint_tracks_lowest_val_error(tiny_data, tiny_specs, tmp_path):
@@ -588,7 +593,7 @@ CACHE_BATCH = 32
 DISTILL_CFGS = {
     "cd+gkd": DistillConfig(alpha=1.0, lam=0.5, gkd_enabled=True, n_decay=2),
     "cd": DistillConfig(alpha=1.0, lam=0.5, gkd_enabled=False, n_decay=2),
-    "kd": DistillConfig(alpha=0.0, gkd_enabled=False, plain_kd_fallback=True, n_decay=2),
+    "gkd": DistillConfig(alpha=0.0, gkd_enabled=True, n_decay=2),
 }
 
 
