@@ -18,6 +18,7 @@ Numeric contract:
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -27,18 +28,24 @@ LOG_EPS = 1e-12
 Number = Union[int, float]
 
 _node_counter = itertools.count()
-_grad_enabled = [True]
+
+
+class _GradMode(threading.local):
+    enabled = True                 # each thread records until its own no_grad
+
+
+_grad_mode = _GradMode()
 
 
 class no_grad:
-    """Context manager that suspends graph recording (evaluation passes)."""
+    """Context manager that suspends graph recording in its own thread (evaluation passes)."""
 
     def __enter__(self):
-        self._prev = _grad_enabled[0]
-        _grad_enabled[0] = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
 
     def __exit__(self, *exc):
-        _grad_enabled[0] = self._prev
+        _grad_mode.enabled = self._prev
         return False
 
 
@@ -88,7 +95,7 @@ class Tensor:
         out.node_id = next(_node_counter)
         out._backward_ran = False
         # the one place a vjp is kept: a one-parent vjp can trust its parent needs grad
-        if _grad_enabled[0] and any(p.requires_grad for p in parents):
+        if _grad_mode.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._vjp = vjp
@@ -274,8 +281,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     [n*h_out*w_out, c_in*kh*kw], columns in (c, i, j) order, filled by kh*kw
     slice copies ``cols[..., i, j] = xp[:, i::s, j::s, :]`` from a channels-last
     view of the input (zero-padded into a fresh NHWC buffer only if padding > 0).
-    The backward pass reuses ``cols`` for the kernel gradient and adds the input
-    gradient columns back in the same (i, j) order into an NHWC buffer.
+    The backward pass reuses ``cols`` for the kernel gradient, drops it, and adds
+    the input gradient columns back in the same (i, j) order into an NHWC buffer.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d: expects 4-D input and kernel, got {x.shape} and {kernel.shape}")
@@ -313,12 +320,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     out_data = np.ascontiguousarray(
         out_flat.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2))
 
-    def vjp(g, a=x, k=kernel, cols=cols, wmat=wmat, pad=padding, s=stride,
+    def vjp(g, a=x, k=kernel, held=[cols], wmat=wmat, pad=padding, s=stride,
             dims=(n, c_in, h, w, c_out, kh, kw, h_out, w_out)):
         n, c_in, h, w, c_out, kh, kw, h_out, w_out = dims
         g_flat = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
         if k.requires_grad:
-            k._accum((g_flat.T @ cols).reshape(k.shape))
+            k._accum((g_flat.T @ held[0]).reshape(k.shape))
+        held.clear()                 # cols: freed before gc allocates
         if a.requires_grad:
             gc = (g_flat @ wmat).reshape(n, h_out, w_out, c_in, kh, kw)
             gxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c_in), g.dtype)

@@ -7,13 +7,15 @@ produce bit-identical trajectories for the same seed. The teacher network
 is frozen for the whole distillation run and its parameter checksum is
 verified at the end of every run. When augmentation only normalizes, the
 teacher's outputs for each sample are kept from its first full batch and
-reused by later full batches instead of running the teacher again.
+reused by later ones; a live teacher forward runs whole, a batch ahead, on a worker thread.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -77,8 +79,8 @@ def topk_error(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
 def evaluate(net: Network, ds: Dataset, means: np.ndarray, stds: np.ndarray,
              batch_size: int) -> Metrics:
     """Deterministic evaluation: unshuffled, normalization only, no augmentation.
-    Run in the training batch size, it builds no larger buffer than a step;
-    a row's logits do not depend on the other rows of a batch of two or more."""
+    Run in the training batch size, it builds no larger buffer than a step. A
+    row's logits do not depend on which rows share its batch, but can on its size."""
     if ds.class_count != net.spec.num_classes:
         raise ValueError(f"dataset has {ds.class_count} classes, model expects "
                          f"{net.spec.num_classes}")
@@ -153,6 +155,10 @@ def _read_checkpoint(path):
         raise CheckpointError(f"{path}: no {exc.args[0]!r} in header or tensors") from None
     except ValueError as exc:
         raise CheckpointError(f"{path}: [{sec}] {exc}") from None
+    norm, c = records["normalize"], records["arch.model"].input_channels
+    if not len(norm.means) == len(norm.stds) == c:
+        raise CheckpointError(f"{path}: [normalize] has {len(norm.means)} means and "
+                              f"{len(norm.stds)} stds, [arch.model] input_channels = {c}")
     return records, tensors
 
 
@@ -217,6 +223,20 @@ class _TeacherTargets:
         self.filled[idx] = True
 
 
+def _batches(ds: Dataset, batch_size: int, order_seed: int, aug_cfg: AugmentConfig,
+             aug_rng: np.random.Generator, targets):
+    """The epoch's (indices, augmented input, labels, ``targets(indices, input)``); batch
+    k+1's targets are asked for before batch k is yielded, so they can overlap step k."""
+    held = None
+    for idx, imgs, labels in iterate_batches(ds, batch_size, order_seed):
+        x = Tensor(augment_batch(imgs, aug_cfg, aug_rng))
+        held, batch = (idx, x, labels, targets(idx, x)), held
+        if batch is not None:
+            yield batch
+    if held is not None:
+        yield held
+
+
 def batch_objective(net: Network, adapters: List[Optional[Tensor]], x: Tensor,
                     labels: np.ndarray, t_logits: Optional[Tensor], t_gaps: List[Tensor],
                     cfg: DistillConfig, w_edt: float):
@@ -250,6 +270,8 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
     if aug_cfg is None:
         aug_cfg = AugmentConfig(*channel_stats(train_ds))
     means, stds = aug_cfg.channel_means, aug_cfg.channel_stds
+    if not len(means) == len(stds) == spec.input_channels:      # as _read_checkpoint asks
+        raise ValueError(f"{len(means)} means and {len(stds)} stds, want {spec.input_channels}")
 
     # the run's header records; a resume must find the same values in its checkpoint
     records = {"arch.model": spec, "normalize": Normalization(means, stds),
@@ -308,9 +330,8 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
     out_dir.mkdir(parents=True, exist_ok=True)
 
     teacher_crc = records["teacher"].checksum if teacher is not None else None
-    # a teacher row's bits do not depend on the other rows of a full batch,
-    # but a short last batch can be one row, whose bits differ: short
-    # batches always run the live teacher and never touch the cache
+    # a row's bits do not depend on which rows share a batch of one size, but can on
+    # the size: short batches always run the live teacher and never touch the cache
     cache = (_TeacherTargets(len(train_ds))
              if need_teacher and not aug_cfg.randomizes else None)
     csv_path = out_dir / "metrics.csv"
@@ -335,67 +356,68 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
         save_checkpoint(out_dir / name, emit_sections(
             {sec: format_record(r) for sec, r in records.items()}), tensors)
 
-    for epoch in range(state.epoch, epochs):
-        t_epoch = time.perf_counter()
-        lr = lr_at_epoch(sched, sgd_cfg.lr0, epoch)
-        # the decay weight only ever multiplies the CD term; log what is applied
-        w_edt = edt_weight(edt, epoch) if cd_on else 0.0
-        aug_rng = np.random.default_rng(derive_epoch(derive(seed, "augment"), epoch))
-        order_seed = derive_epoch(derive(seed, "shuffle"), epoch)
-        sums = np.zeros(4)    # total, cd, gkd, ce, sample-weighted
-        n_seen = 0
-        n_correct_teacher = 0
-        n_correct_train = 0
-        for idx, imgs, labels in iterate_batches(train_ds, batch_size, order_seed):
-            x = Tensor(augment_batch(imgs, aug_cfg, aug_rng))
-            bs = len(labels)
-            t_logits, t_gaps = None, []
-            if need_teacher:
-                full = cache is not None and bs == batch_size
-                targets = cache.get(idx) if full else None
-                if targets is None:
-                    t_logits, t_taps = forward_with_taps(teacher, x)
-                    targets = [t_logits] + ([channel_weights(tt) for tt in t_taps]
-                                            if cd_on else [])
-                    if full:
-                        cache.put(idx, targets)
-                t_logits, t_gaps = targets[0], targets[1:]
-            # s_taps stays bound until the next step's objective returns: freed before
-            # backward, glibc trims the heap top and each teacher step faults ~3,400 pages
-            bd, cnt, s_logits, s_taps = batch_objective(net, adapters, x, labels, t_logits,
-                                                        t_gaps, distill_cfg, w_edt)
-            if not np.isfinite(bd.total):
-                _dump_diagnostic(out_dir, state, epoch, lr, bd)
-                raise NonFiniteLossError(
-                    f"non-finite loss at epoch {epoch} step {state.global_step}: "
-                    f"total={bd.total}")
-            if abs(bd.total - (bd.edt_weight * bd.cd + bd.gkd + bd.ce)) > 1e-6:
-                raise RuntimeError("loss breakdown identity violated")
+    def targets(idx, x):    # cached [logits, *tap GAPs], else a future of the live teacher's
+        full = cache is not None and len(idx) == batch_size
+        return (full and cache.get(idx)) or (pool.submit(teach, x) if need_teacher else None)
 
-            backward(bd.objective)
-            opt.step(lr)
-            opt.zero_grad()
+    def teach(x):         # on the worker thread
+        t_logits, t_taps = forward_with_taps(teacher, x)
+        return [t_logits] + ([channel_weights(tt) for tt in t_taps] if cd_on else [])
 
-            sums += np.array([bd.total, bd.cd, bd.gkd, bd.ce]) * bs
-            n_seen += bs
-            n_correct_teacher += cnt
-            n_correct_train += int((np.argmax(s_logits.data, axis=1) == labels).sum())
-            state.global_step += 1
+    with (ThreadPoolExecutor(max_workers=1) if need_teacher else nullcontext()) as pool:
+        for epoch in range(state.epoch, epochs):
+            t_epoch = time.perf_counter()
+            lr = lr_at_epoch(sched, sgd_cfg.lr0, epoch)
+            # the decay weight only ever multiplies the CD term; log what is applied
+            w_edt = edt_weight(edt, epoch) if cd_on else 0.0
+            aug_rng = np.random.default_rng(derive_epoch(derive(seed, "augment"), epoch))
+            order_seed = derive_epoch(derive(seed, "shuffle"), epoch)
+            sums = np.zeros(4)    # total, cd, gkd, ce, sample-weighted
+            n_seen = n_correct_teacher = n_correct_train = 0
+            for idx, x, labels, t_out in _batches(train_ds, batch_size, order_seed, aug_cfg,
+                                                  aug_rng, targets):
+                bs = len(labels)
+                if isinstance(t_out, Future):    # joined here, so the cache is the main thread's
+                    t_out = t_out.result()
+                    if cache is not None and bs == batch_size:
+                        cache.put(idx, t_out)
+                t_logits, *t_gaps = t_out or [None]
+                # s_taps stays bound until the next step's objective returns: freed before
+                # backward, glibc trims the heap top and each teacher step faults ~3,400 pages
+                bd, cnt, s_logits, s_taps = batch_objective(net, adapters, x, labels, t_logits,
+                                                            t_gaps, distill_cfg, w_edt)
+                if not np.isfinite(bd.total):
+                    _dump_diagnostic(out_dir, state, epoch, lr, bd)
+                    raise NonFiniteLossError(
+                        f"non-finite loss at epoch {epoch} step {state.global_step}: "
+                        f"total={bd.total}")
+                if abs(bd.total - (bd.edt_weight * bd.cd + bd.gkd + bd.ce)) > 1e-6:
+                    raise RuntimeError("loss breakdown identity violated")
 
-        state.epoch = epoch + 1
-        last_val = evaluate(net, val_ds, means, stds, batch_size)
-        train_top1 = 100.0 * (1.0 - n_correct_train / n_seen)
-        row = [epoch, lr, w_edt,
-               sums[0] / n_seen, sums[1] / n_seen, sums[2] / n_seen, sums[3] / n_seen,
-               n_correct_teacher / n_seen, train_top1,
-               last_val.top1_error, last_val.top5_error,
-               time.perf_counter() - t_epoch]
-        with csv_path.open("a") as f:
-            f.write(",".join(format_value(v) for v in row) + "\n")
-        if last_val.top1_error < state.best_val_top1:
-            state.best_val_top1 = last_val.top1_error
-            save("best.ckpt")
-        save("last.ckpt")
+                backward(bd.objective)
+                opt.step(lr)
+                opt.zero_grad()
+
+                sums += np.array([bd.total, bd.cd, bd.gkd, bd.ce]) * bs
+                n_seen += bs
+                n_correct_teacher += cnt
+                n_correct_train += int((np.argmax(s_logits.data, axis=1) == labels).sum())
+                state.global_step += 1
+
+            state.epoch = epoch + 1
+            last_val = evaluate(net, val_ds, means, stds, batch_size)
+            train_top1 = 100.0 * (1.0 - n_correct_train / n_seen)
+            row = [epoch, lr, w_edt,
+                   sums[0] / n_seen, sums[1] / n_seen, sums[2] / n_seen, sums[3] / n_seen,
+                   n_correct_teacher / n_seen, train_top1,
+                   last_val.top1_error, last_val.top5_error,
+                   time.perf_counter() - t_epoch]
+            with csv_path.open("a") as f:
+                f.write(",".join(format_value(v) for v in row) + "\n")
+            if last_val.top1_error < state.best_val_top1:
+                state.best_val_top1 = last_val.top1_error
+                save("best.ckpt")
+            save("last.ckpt")
 
     if teacher is not None and teacher.checksum() != teacher_crc:
         raise RuntimeError("frozen teacher parameters changed during the run")

@@ -297,9 +297,11 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
     """A checkpoint whose header lacks a section or field, or has a key its
     record has no field for (as one written while NetworkSpec had residual
     and downsample, EdtParams had stepwise and DistillConfig had
-    plain_kd_fallback and kd_t_squared), or stats that are not finite or
-    stds of 0, or whose tensor table lacks a parameter, is one error line
-    naming the file: not a divide-by-zero warning and an error rate."""
+    plain_kd_fallback and kd_t_squared), or stats that are not finite,
+    stds of 0 or other than one mean and one std per input channel, or
+    whose tensor table lacks a parameter, is one error line naming the
+    file: not a divide-by-zero warning or an error rate over broadcast
+    stats."""
     conf, teacher_out, student_out = cli_run
     header, tensors = load_checkpoint(teacher_out / "final.ckpt")
     no_arch = header.replace("[arch.model]", "[arch.other]")
@@ -324,8 +326,11 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
                        "augment_seed = 3\nadapter_seed = 4", header)  # before [state] seed
     assert sub_seeds != header
     stats = re.compile(r"(?m)^means = .*\nstds = .*$")
-    nan_means, zero_stds = (stats.sub(f"means = {m}\nstds = {s}", header)
-                            for m, s in (("nan,0,0", "1,1,1"), ("0,0,0", "0,0,0")))
+    nan_means, zero_stds, one_mean, two_stds = (
+        stats.sub(f"means = {m}\nstds = {s}", header)
+        for m, s in (("nan,0,0", "1,1,1"), ("0,0,0", "0,0,0"), ("0.5", "0.25"),
+                     ("0.5,0.5,0.5", "0.25,0.25")))
+    counts = "[normalize] has {} means and {} stds, [arch.model] input_channels = 3".format
     bad_stats = "[normalize] stats must be finite, stds > 0: got {}".format
     short_table = dict(tensors)
     short_table.pop("fc.b")
@@ -344,7 +349,9 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
             ("nan-means.ckpt", nan_means, tensors,
              bad_stats("(nan, 0.0, 0.0), (1.0, 1.0, 1.0)")),
             ("zero-stds.ckpt", zero_stds, tensors,
-             bad_stats("(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)"))):
+             bad_stats("(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)")),
+            ("one-mean.ckpt", one_mean, tensors, counts(1, 1)),
+            ("two-stds.ckpt", two_stds, tensors, counts(3, 2))):
         path = tmp_path / name
         save_checkpoint(path, head, table)     # CRC-valid, contents incomplete
         capsys.readouterr()

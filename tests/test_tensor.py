@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -246,6 +247,34 @@ def test_no_grad_context_suspends_recording():
         y = x.square().sum()
     assert not y.requires_grad
     assert y._parents == ()
+
+
+def test_no_grad_holds_only_in_its_own_thread():
+    """While one thread sits inside no_grad, an op in another thread still
+    records its vjp, and the first thread's ops record none."""
+    inside, leave = threading.Event(), threading.Event()
+    seen = []
+
+    def hold():
+        with no_grad():
+            seen.append(Tensor([1.0], requires_grad=True).square())
+            inside.set()
+            leave.wait(10)
+
+    worker = threading.Thread(target=hold)
+    worker.start()
+    try:
+        assert inside.wait(10)
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = x.square().sum()
+    finally:
+        leave.set()
+        worker.join(10)
+    assert not worker.is_alive()
+    assert y.requires_grad and y._vjp is not None
+    backward(y)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    assert not seen[0].requires_grad and seen[0]._vjp is None
 
 
 def test_tape_topological_order():

@@ -1,4 +1,6 @@
 import re
+import threading
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +100,20 @@ def test_fit_refuses_a_batch_size_below_one_before_the_out_dir(tiny_data, tiny_s
     with pytest.raises(ValueError, match=f"^batch_size must be >= 1, got {batch_size}$"):
         train_teacher(tiny_specs[1], train, val, SGD, SCHED, epochs=1, seed=0,
                       out_dir=tmp_path / "out", batch_size=batch_size)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("means, stds", [((0.5,), (0.25,)), ((0.5, 0.5), (0.25, 0.25)),
+                                         ((0.5,) * 3, (0.25,) * 2)])
+def test_fit_refuses_stats_that_are_not_one_per_input_channel(tiny_data, tiny_specs, tmp_path,
+                                                              means, stds):
+    """The rule _read_checkpoint keeps for [normalize]: a run does not write a
+    header it would refuse, nor broadcast one mean over three channels."""
+    train, val = tiny_data
+    want = f"^{len(means)} means and {len(stds)} stds, want 3$"
+    with pytest.raises(ValueError, match=want):
+        train_teacher(tiny_specs[1], train, val, SGD, SCHED, epochs=1, seed=0,
+                      out_dir=tmp_path / "out", batch_size=32, aug_cfg=AugmentConfig(means, stds))
     assert not (tmp_path / "out").exists()
 
 
@@ -751,3 +767,143 @@ def test_crash_while_writing_last_ckpt_resumes_to_the_uninterrupted_run(uneven_r
     assert strip_wall(resumed.csv_path.read_text()) == strip_wall(full.csv_path.read_text())
     for name in ("final.ckpt", "best.ckpt", "last.ckpt"):
         assert run_dir_bytes(resumed, name) == run_dir_bytes(full, name), name
+
+
+# -- the teacher a batch ahead ------------------------------------------------------
+
+
+class InlineExecutor:
+    """Runs each submitted call at once on the calling thread: the fit loop
+    with its teacher forwards and student steps strictly in turn."""
+
+    def __init__(self, max_workers):
+        assert max_workers == 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+def teacher_threads(monkeypatch):
+    """The thread of each teacher forward _fit makes."""
+    threads = []
+    real = cdkd.train.forward_with_taps
+
+    def recording(net, batch):
+        if not any(p.requires_grad for _, p in net.parameters()):
+            threads.append(threading.current_thread())
+        return real(net, batch)
+
+    monkeypatch.setattr(cdkd.train, "forward_with_taps", recording)
+    return threads
+
+
+@pytest.mark.parametrize("case", ["crop+flip", "cache", "short-1", "resume"])
+def test_teacher_ahead_is_bit_identical_to_running_in_turn(uneven_run, tiny_specs, tmp_path,
+                                                           monkeypatch, case):
+    """The teacher a batch ahead on its worker thread and the teacher run
+    inline before each step write the same metrics.csv (less wall_seconds)
+    and the same checkpoint bytes: with crop and flip on, with the cache
+    serving later epochs, with a 1-row last batch and across a resume."""
+    train, val, teacher_ckpt = uneven_run
+    _, student = tiny_specs
+    aug = (AugmentConfig(*channel_stats(train), pad=2, random_crop=True, hflip_prob=0.5)
+           if case == "crop+flip" else None)
+    batch_size = 33 if case == "short-1" else CACHE_BATCH       # 100 rows: 3 x 33 + 1
+    threads = teacher_threads(monkeypatch)
+
+    def run(out_dir, epochs=3, resume_from=None):
+        return distill(teacher_ckpt, student, train, val, DISTILL_CFGS["cd+gkd"], SGD, SCHED,
+                       EdtParams(1.0, 0.5, 2), epochs=epochs, seed=4, out_dir=out_dir,
+                       batch_size=batch_size, aug_cfg=aug, resume_from=resume_from)
+
+    def runs(tag):
+        threads.clear()
+        if case != "resume":
+            return run(tmp_path / tag)
+        run(tmp_path / tag, epochs=2)
+        return run(tmp_path / tag, resume_from=tmp_path / tag / "last.ckpt")
+
+    ahead = runs("ahead")
+    assert threads and threading.main_thread() not in threads
+    monkeypatch.setattr(cdkd.train, "ThreadPoolExecutor", InlineExecutor)
+    in_turn = runs("in-turn")
+    assert set(threads) == {threading.main_thread()}
+    assert strip_wall(ahead.csv_path.read_text()) == strip_wall(in_turn.csv_path.read_text())
+    for name in ("final.ckpt", "best.ckpt", "last.ckpt"):
+        assert run_dir_bytes(ahead, name) == run_dir_bytes(in_turn, name), name
+
+
+def worker_threads(before):
+    return [t for t in threading.enumerate() if t not in before]
+
+
+def test_a_failing_teacher_forward_raises_from_distill_and_leaves_no_thread(
+        uneven_run, tiny_specs, tmp_path, monkeypatch):
+    train, val, teacher_ckpt = uneven_run
+    _, student = tiny_specs
+    real = cdkd.train.forward_with_taps
+    calls = []
+
+    def failing(net, batch):
+        if not any(p.requires_grad for _, p in net.parameters()):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise FloatingPointError("teacher forward 3 failed")
+        return real(net, batch)
+
+    monkeypatch.setattr(cdkd.train, "forward_with_taps", failing)
+    before = threading.enumerate()
+    with pytest.raises(FloatingPointError, match="teacher forward 3 failed"):
+        distill(teacher_ckpt, student, train, val, DISTILL_CFGS["cd+gkd"], SGD, SCHED,
+                EdtParams(1.0, 0.5, 2), epochs=2, seed=4, out_dir=tmp_path,
+                batch_size=CACHE_BATCH, aug_cfg=AugmentConfig(*channel_stats(train),
+                                                              hflip_prob=0.5))
+    # forward 4 was submitted before forward 3 was joined; the pool waits for it
+    assert len(calls) == 4 and threading.main_thread() not in calls
+    assert worker_threads(before) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_loss_with_a_teacher_forward_pending_leaves_no_thread(
+        uneven_run, tiny_specs, tmp_path, monkeypatch):
+    """An infinite CD weight makes step 0's loss non-finite when batch 1's
+    teacher forward has already been submitted: it is waited for, and the
+    worker is gone."""
+    train, val, teacher_ckpt = uneven_run
+    _, student = tiny_specs
+    threads = teacher_threads(monkeypatch)
+    before = threading.enumerate()
+    inf = float("inf")
+    with pytest.raises(NonFiniteLossError, match="step 0"):
+        distill(teacher_ckpt, student, train, val,
+                DistillConfig(alpha=inf, lam=0.5, gkd_enabled=True, n_decay=2), SGD, SCHED,
+                EdtParams(inf, 0.5, 2), epochs=2, seed=4, out_dir=tmp_path,
+                batch_size=CACHE_BATCH)
+    assert len(threads) == 2 and threading.main_thread() not in threads
+    assert worker_threads(before) == []
+    assert (tmp_path / "diagnostic.json").exists()
+
+
+def test_teacher_training_starts_no_thread(tiny_data, tiny_specs, tmp_path, monkeypatch):
+    train, val = tiny_data
+    started = []
+
+    def no_pool(max_workers):
+        raise AssertionError("a run with no teacher made a thread pool")
+
+    monkeypatch.setattr(cdkd.train, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    train_teacher(tiny_specs[1], train, val, SGD, SCHED, epochs=2, seed=0, out_dir=tmp_path,
+                  batch_size=32)
+    assert started == []
