@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .config import ConfigError, check_image_size, load_config, load_dataset, snapshot_text
 from .data import AugmentConfig, channel_stats
+from .optim import EdtParams
 from .plotting import write_metrics_svg
 from .train import distill, evaluate, load_model_checkpoint, train_teacher
 
@@ -84,7 +85,6 @@ def _prepare(args, need_model: str):
     train_ds, val_ds = (_load_split(args, cfg.data, split) for split in ("train", "val"))
     means, stds = channel_stats(train_ds)
     aug = AugmentConfig(channel_means=means, channel_stds=stds, pad=cfg.data.pad,
-                        random_crop=cfg.data.random_crop,
                         hflip_prob=cfg.data.hflip_prob)
     out_dir = Path(cfg.run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -108,8 +108,9 @@ def _cmd_distill(args) -> int:
     cfg, spec, train_ds, val_ds, aug, out_dir = _prepare(args, "student")
     if cfg.distill is None:
         raise ConfigError("missing [distill] section")
-    result = distill(args.teacher_ckpt, spec, train_ds, val_ds, cfg.distill,
-                     cfg.optim, cfg.schedule, cfg.edt, cfg.run.epochs,
+    d = cfg.distill
+    result = distill(args.teacher_ckpt, spec, train_ds, val_ds, d, cfg.optim,
+                     cfg.schedule, EdtParams(d.alpha, d.lam, d.n_decay), cfg.run.epochs,
                      cfg.run.seed, out_dir, batch_size=cfg.data.batch_size,
                      aug_cfg=aug, resume_from=args.resume)
     print(f"student distilled: val top-1 error {result.val_top1:.2f}%, "

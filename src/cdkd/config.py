@@ -12,7 +12,7 @@ copies.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, Mapping, Optional, get_type_hints
 
@@ -20,7 +20,7 @@ from .data import _CIFAR_SHAPE, Dataset, load_cifar_binary, make_synthetic
 from .kvtext import emit_sections, format_value, parse_sections
 from .losses import DistillConfig
 from .models import NetworkSpec
-from .optim import EdtParams, LrSchedule, SgdConfig
+from .optim import LrSchedule, SgdConfig
 
 
 class ConfigError(ValueError):
@@ -38,8 +38,7 @@ class DataSection:
     image_size: int = 16
     data_seed: int = 0            # dataset identity is independent of [run].seed
     batch_size: int = 128
-    pad: int = 0
-    random_crop: bool = False
+    pad: int = 0                  # > 0: a random crop of the image padded by this much
     hflip_prob: float = 0.0
 
     def __post_init__(self):
@@ -83,8 +82,7 @@ class RunConfig:
     data: DataSection
     optim: SgdConfig
     schedule: LrSchedule
-    distill: Optional[DistillConfig]
-    edt: Optional[EdtParams]      # the [distill] decay, n_decay resolved
+    distill: Optional[DistillConfig]    # n_decay resolved
     run: RunSection
 
 
@@ -161,15 +159,13 @@ def build_config(sections: Dict[str, dict]) -> RunConfig:
     for name in ("model.teacher", "model.student"):
         if name in built:
             check_image_size(data, built[name], f"[{name}]")
-    distill, edt = built.get("distill"), None
-    if distill is not None:
-        n = distill.n_decay
-        if n is None:
-            n = built["schedule"].milestones[0] if built["schedule"].milestones else 30
-        edt = EdtParams(distill.alpha, distill.lam, n)
+    distill = built.get("distill")
+    if distill is not None and distill.n_decay is None:
+        milestones = built["schedule"].milestones
+        distill = replace(distill, n_decay=milestones[0] if milestones else 30)
     return RunConfig(teacher=built.get("model.teacher"), student=built.get("model.student"),
                      data=data, optim=built["optim"], schedule=built["schedule"],
-                     distill=distill, edt=edt, run=built["run"])
+                     distill=distill, run=built["run"])
 
 
 def merge_sections(base: Dict[str, dict], overlay: Dict[str, dict]) -> Dict[str, dict]:
@@ -232,7 +228,6 @@ per_class_val = 100
 image_size = 16
 batch_size = 128
 pad = 4
-random_crop = true
 hflip_prob = 0.5
 [optim]
 lr0 = 0.1

@@ -61,7 +61,7 @@ class AugmentConfig:
     channel_means: np.ndarray
     channel_stds: np.ndarray
     pad: int = 0
-    random_crop: bool = False
+    random_crop: bool = True      # False only sets pad to 0: pad > 0 is the crop
     hflip_prob: float = 0.0
 
     def __post_init__(self):
@@ -71,6 +71,7 @@ class AugmentConfig:
             raise ValueError("channel stds must be strictly positive")
         if self.pad < 0:
             raise ValueError(f"pad must be non-negative, got {self.pad}")
+        self.pad = self.pad if self.random_crop else 0
         if not (0.0 <= self.hflip_prob <= 1.0):
             raise ValueError(f"hflip_prob must be in [0, 1], got {self.hflip_prob}")
 
@@ -78,7 +79,7 @@ class AugmentConfig:
     def randomizes(self) -> bool:
         """Whether augment_batch draws random crops or flips; when it does
         not, it only normalizes, and a sample comes out the same every epoch."""
-        return (self.pad > 0 and self.random_crop) or self.hflip_prob > 0
+        return self.pad > 0 or self.hflip_prob > 0
 
 
 def load_cifar_binary(path, variant: str) -> Dataset:
@@ -169,7 +170,7 @@ def augment_batch(batch: np.ndarray, cfg: AugmentConfig,
     """
     n, c, h, w = batch.shape
     out = batch
-    if cfg.pad > 0 and cfg.random_crop:
+    if cfg.pad > 0:
         p = cfg.pad
         padded = np.pad(batch, ((0, 0), (0, 0), (p, p), (p, p)))
         offs = rng.integers(0, 2 * p + 1, size=(n, 2))

@@ -62,8 +62,8 @@ def parse_record(cls, kvs: Mapping[str, str]):
 
 def parse_sections(text: str, origin: str, error: type,
                    schema: Optional[Schema] = None) -> Dict[str, dict]:
-    """Parse text into {section: {key: value}}; any violation raises
-    ``error`` naming ``origin`` and the line."""
+    """Parse text into {section: {key: value}}; any violation, a key set
+    twice in one section among them, raises ``error`` naming ``origin`` and the line."""
     sections: Dict[str, dict] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -83,6 +83,8 @@ def parse_sections(text: str, origin: str, error: type,
         if not eq:
             raise error(f"{where}: expected 'key = value'")
         key, value = key.strip(), value.strip()
+        if key in sections[current]:
+            raise error(f"{where}: '{key}' is set twice in [{current}]")
         if schema is not None:
             if key not in schema[current]:
                 raise error(f"{where}: unknown key '{key}' in [{current}]")

@@ -57,12 +57,8 @@ class DistillConfig:
             raise ValueError(f"n_decay must be positive, got {self.n_decay}")
 
 
-def channel_weights(feature: Tensor) -> Tensor:
-    """Spatial mean of each channel, [n,c,h,w] -> [n,c]; differentiable when
-    the feature is."""
-    if feature.data.ndim != 4:
-        raise ValueError(f"channel_weights: expects 4-D feature, got {feature.shape}")
-    return global_avg_pool(feature)
+# the CD weights of a [n,c,h,w] feature map: each channel's spatial mean, [n,c]
+channel_weights = global_avg_pool
 
 
 def cd_loss(ws: Tensor, wt: Tensor) -> Tensor:

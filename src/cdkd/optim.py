@@ -67,7 +67,8 @@ class EdtParams:
             raise ValueError(f"n_decay must be positive, got {self.n_decay}")
 
 
-def edt_weight(params: EdtParams, epoch: int) -> float:
+def edt_weight(params, epoch: int) -> float:
+    """The decay weight of ``params``, an EdtParams or a DistillConfig whose n_decay is set."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
     return params.alpha * params.lam ** (epoch / params.n_decay)

@@ -16,7 +16,7 @@ import json
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -119,7 +119,6 @@ class DataSettings:
     size, the augmentation and the train split's ``Dataset.checksum``."""
     batch_size: int
     pad: int
-    random_crop: bool
     hflip_prob: float
     crc: int
 
@@ -134,27 +133,30 @@ class TeacherId:
     checksum: int
 
 
-# header section -> its record, in header order; only [edt] and [teacher] may be absent
+# header section -> its record, in header order; only [teacher] may be absent
 RECORDS = {"arch.model": NetworkSpec, "normalize": Normalization, "data": DataSettings,
            "optim": SgdConfig, "schedule": LrSchedule, "distill": DistillConfig,
-           "edt": EdtParams, "teacher": TeacherId, "state": TrainState}
+           "teacher": TeacherId, "state": TrainState}
 
 
 def _read_checkpoint(path):
-    """(records by header section, tensors by name); a missing section or
-    field raises CheckpointError naming the file, a key the section's record
-    has no field for or a malformed value one naming the file and section."""
+    """(records by header section, tensors by name); a missing section or field, or
+    a section no record reads, raises CheckpointError naming the file, a key the
+    section's record has no field for or a malformed value one naming the section too."""
     header, tensors = load_checkpoint(path)
     secs = parse_sections(header, str(path), CheckpointError)
     records = {}
     try:
         for sec, cls in RECORDS.items():
-            if sec in secs or sec not in ("edt", "teacher"):
+            if sec in secs or sec != "teacher":
                 records[sec] = parse_record(cls, secs[sec])
     except KeyError as exc:
         raise CheckpointError(f"{path}: no {exc.args[0]!r} in header or tensors") from None
     except ValueError as exc:
         raise CheckpointError(f"{path}: [{sec}] {exc}") from None
+    unknown = [sec for sec in secs if sec not in RECORDS]
+    if unknown:
+        raise CheckpointError(f"{path}: unknown section [{unknown[0]}]")
     norm, c = records["normalize"], records["arch.model"].input_channels
     if not len(norm.means) == len(norm.stds) == c:
         raise CheckpointError(f"{path}: [normalize] has {len(norm.means)} means and "
@@ -260,7 +262,6 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
          batch_size: int = 128,
          aug_cfg: Optional[AugmentConfig] = None,
          teacher_ckpt=None,
-         edt: Optional[EdtParams] = None,
          resume_from=None) -> TrainResult:
     out_dir = Path(out_dir)
     for split, ds in (("train", train_ds), ("val", val_ds)):
@@ -275,11 +276,9 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
 
     # the run's header records; a resume must find the same values in its checkpoint
     records = {"arch.model": spec, "normalize": Normalization(means, stds),
-               "data": DataSettings(batch_size, aug_cfg.pad, aug_cfg.random_crop,
-                                    aug_cfg.hflip_prob, train_ds.checksum()),
+               "data": DataSettings(batch_size, aug_cfg.pad, aug_cfg.hflip_prob,
+                                    train_ds.checksum()),
                "optim": sgd_cfg, "schedule": sched, "distill": distill_cfg}
-    if edt is not None:
-        records["edt"] = edt
 
     cd_on = distill_cfg.alpha > 0.0
     need_teacher = cd_on or distill_cfg.gkd_enabled
@@ -369,7 +368,7 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
             t_epoch = time.perf_counter()
             lr = lr_at_epoch(sched, sgd_cfg.lr0, epoch)
             # the decay weight only ever multiplies the CD term; log what is applied
-            w_edt = edt_weight(edt, epoch) if cd_on else 0.0
+            w_edt = edt_weight(distill_cfg, epoch) if cd_on else 0.0
             aug_rng = np.random.default_rng(derive_epoch(derive(seed, "augment"), epoch))
             order_seed = derive_epoch(derive(seed, "shuffle"), epoch)
             sums = np.zeros(4)    # total, cd, gkd, ce, sample-weighted
@@ -463,7 +462,8 @@ def distill(teacher_ckpt, student_spec: NetworkSpec, train_ds: Dataset,
     whose tap count, class count, input channels or normalization stats
     differ from the run's, with CD on an ``edt`` whose alpha, lam or n_decay
     contradict ``distill_cfg`` (an n_decay of None there accepts any), and a
-    resume checkpoint with a header record that differs from the run's. With
+    resume checkpoint with a header record that differs from the run's. An
+    n_decay of None then takes ``edt.n_decay``, and [distill] records it. With
     alpha=0 and GKD disabled this reduces, bit for bit, to plain
     cross-entropy training of the student.
     """
@@ -472,6 +472,8 @@ def distill(teacher_ckpt, student_spec: NetworkSpec, train_ds: Dataset,
             want, got = getattr(distill_cfg, key), getattr(edt, key)
             if want is not None and got != want:
                 raise ValueError(f"DistillConfig has {key} = {want}, EdtParams {got}")
+    if distill_cfg.n_decay is None:
+        distill_cfg = replace(distill_cfg, n_decay=edt.n_decay)
     return _fit(student_spec, train_ds, val_ds, sgd_cfg, sched, epochs, seed,
                 out_dir, distill_cfg, batch_size=batch_size, aug_cfg=aug_cfg,
-                teacher_ckpt=teacher_ckpt, edt=edt, resume_from=resume_from)
+                teacher_ckpt=teacher_ckpt, resume_from=resume_from)

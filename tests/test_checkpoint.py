@@ -167,32 +167,43 @@ def test_resume_refuses_a_broken_tensor_table(run_ckpt, tiny_data, tiny_specs):
 
 def test_header_keys_no_record_has_are_refused(run_ckpt, tiny_data, tiny_specs):
     """A header key its section's record has no field for is refused, naming
-    the file, the section and the key: a header written while NetworkSpec had
-    residual and downsample, EdtParams stepwise, or DistillConfig
-    plain_kd_fallback and kd_t_squared, does not resume as the residual net,
-    the smooth decay or the GKD term of today."""
+    the file, the section and the key, and a section no record reads naming
+    the file and the section: a header written while NetworkSpec had
+    residual and downsample, DistillConfig plain_kd_fallback and
+    kd_t_squared, or [data] random_crop and an [edt] section, or with a
+    misspelt [teacher], does not resume as the residual net, the GKD term,
+    the crop or the decay of today."""
     root, body = run_ckpt
     train, val = tiny_data
     with pytest.raises(ValueError, match="^unknown key 'nesterov'$"):
         parse_record(SgdConfig, {**format_record(SgdConfig(lr0=0.1)), "nesterov": "true"})
     _reseal(root / "whole.ckpt", body)
     header, tensors = load_checkpoint(root / "whole.ckpt")
-    blocks, edt = "blocks = 1,1\ninput_channels = 3\n", "n_decay = 10\n[teacher]"
-    gkd = "gkd_enabled = true\n[edt]"
-    assert blocks in header and edt in header and gkd in header
-    for name, old, new, why in (
-            ("downsample.ckpt", blocks, "blocks = 1,1\ndownsample = 0,1\ninput_channels = 3\n",
+    blocks, gkd, pad = "blocks = 1,1\ninput_channels = 3\n", "gkd_enabled = true\n", "pad = 0\n"
+    assert blocks in header and gkd + "[teacher]" in header and pad in header
+    edt = "[edt]\nalpha = 1\nlam = 0.5\nn_decay = 10\n"
+    with_edt = header.replace(gkd, gkd + edt)
+    crop = "pad = 0\nrandom_crop = false\n"
+    for name, head, why in (
+            ("downsample.ckpt",
+             header.replace(blocks, "blocks = 1,1\ndownsample = 0,1\ninput_channels = 3\n"),
              "[arch.model] unknown key 'downsample'"),
-            ("plain.ckpt", blocks, blocks + "residual = false\n",
+            ("plain.ckpt", header.replace(blocks, blocks + "residual = false\n"),
              "[arch.model] unknown key 'residual'"),
-            ("stepwise.ckpt", edt, "n_decay = 10\nstepwise = true\n[teacher]",
-             "[edt] unknown key 'stepwise'"),
-            ("plain-kd.ckpt", gkd, "gkd_enabled = false\nplain_kd_fallback = true\n[edt]",
+            ("plain-kd.ckpt",
+             header.replace(gkd, "gkd_enabled = false\nplain_kd_fallback = true\n"),
              "[distill] unknown key 'plain_kd_fallback'"),
-            ("t-squared.ckpt", gkd, "gkd_enabled = true\nkd_t_squared = true\n[edt]",
-             "[distill] unknown key 'kd_t_squared'")):
+            ("t-squared.ckpt", header.replace(gkd, gkd + "kd_t_squared = true\n"),
+             "[distill] unknown key 'kd_t_squared'"),
+            ("random-crop.ckpt", header.replace(pad, crop), "[data] unknown key 'random_crop'"),
+            ("edt.ckpt", with_edt, "unknown section [edt]"),
+            ("stepwise.ckpt", with_edt.replace(edt, edt + "stepwise = true\n"),
+             "unknown section [edt]"),
+            # as every header written while [data] had random_crop and [edt] existed
+            ("older.ckpt", with_edt.replace(pad, crop), "[data] unknown key 'random_crop'"),
+            ("teachr.ckpt", header.replace("[teacher]", "[teachr]"), "unknown section [teachr]")):
         path = root / name
-        save_checkpoint(path, header.replace(old, new), tensors)
+        save_checkpoint(path, head, tensors)
         with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {why}')}$"):
             distill(root / "teacher" / "final.ckpt", tiny_specs[1], train, val,
                     DistillConfig(), SgdConfig(lr0=0.05), LrSchedule((10,), 0.1),
@@ -232,15 +243,14 @@ def test_header_sections_read_back_to_the_records_written(run_ckpt, tiny_data, t
     teacher = load_model_checkpoint(root / "teacher" / "final.ckpt")[0]
     runs = {"teacher": (tiny_specs[0], dict(distill=DistillConfig(alpha=0.0,
                                                                    gkd_enabled=False))),
-            "student": (tiny_specs[1], dict(distill=DistillConfig(),
-                                            edt=EdtParams(1.0, 0.5, 10),
+            "student": (tiny_specs[1], dict(distill=DistillConfig(n_decay=10),
                                             teacher=TeacherId(teacher.checksum())))}
     for run, (spec, extra) in runs.items():
         header, _ = load_checkpoint(root / run / "final.ckpt")
         secs = parse_sections(header, run, CheckpointError)
         assert "None" not in header and "adapters" not in secs
         expected = {"arch.model": spec, "normalize": Normalization(means, stds),
-                    "data": DataSettings(32, 0, False, 0.0, train.checksum()),
+                    "data": DataSettings(32, 0, 0.0, train.checksum()),
                     "optim": sgd, "schedule": sched, **extra}
         assert list(secs) == [s for s in RECORDS if s in {**expected, "state": 0}]
         for sec, record in expected.items():

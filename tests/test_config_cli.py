@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from cdkd.cli import main
 from cdkd.checkpoint import load_checkpoint, save_checkpoint
 from cdkd.config import (PRESETS, SCHEMA, ConfigError, build_config, load_config,
-                         parse_kv_text, preset_sections, snapshot_text)
+                         merge_sections, parse_kv_text, preset_sections, snapshot_text)
+from cdkd.kvtext import format_value
 from cdkd.models import NetworkSpec, build_network
 from cdkd.train import CSV_COLUMNS, RECORDS
 
@@ -43,6 +44,12 @@ epochs = 2
 seed = 3
 out_dir = {out}
 """
+
+
+def overlaid(text, overlay):
+    """One config file's text: ``text`` with each key of ``overlay`` set over
+    it, since a file that sets a key twice in one section is refused."""
+    return snapshot_text(merge_sections(parse_kv_text(text), parse_kv_text(overlay)))
 
 
 def write_config(tmp_path, out_dir):
@@ -108,7 +115,7 @@ def test_type_violation_is_diagnosed():
 ])
 def test_data_values_are_validated_on_load(tmp_path, overlay, key):
     path = tmp_path / "c.conf"
-    path.write_text(TINY_CONFIG.format(out=tmp_path) + "\n" + overlay + "\n")
+    path.write_text(overlaid(TINY_CONFIG.format(out=tmp_path), overlay))
     with pytest.raises(ConfigError, match=rf"\[data\] {key} must be"):
         load_config(path=path)
 
@@ -130,7 +137,7 @@ def test_data_values_are_validated_on_load(tmp_path, overlay, key):
 ])
 def test_refused_values_name_file_and_section(tmp_path, capsys, overlay, section):
     path = tmp_path / "c.conf"
-    path.write_text(TINY_CONFIG.format(out=tmp_path / "out") + "\n" + overlay + "\n")
+    path.write_text(overlaid(TINY_CONFIG.format(out=tmp_path / "out"), overlay))
     assert main(["train-teacher", "--config", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {path}: [{section}] ")
@@ -163,7 +170,32 @@ def test_n_decay_defaults_to_first_milestone(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text(TINY_CONFIG.format(out=tmp_path).replace("n_decay = 2\n", ""))
     cfg = load_config(path=path)
-    assert cfg.edt.n_decay == 50
+    assert cfg.distill.n_decay == 50
+
+
+def test_a_key_set_twice_in_one_section_is_refused(tmp_path, cli_run, capsys):
+    """A key set twice in one section, in one [optim] or in a repeated [run],
+    is refused naming the file, the line and the key, not run on the last
+    value; so is a checkpoint header that sets one twice."""
+    text = TINY_CONFIG.format(out=tmp_path / "out")
+    path = tmp_path / "twice.conf"
+    for twice, again, sec in ((text.replace("lr0 = 0.05\n", "lr0 = 0.05\nlr0 = 0.5\n"),
+                               "lr0 = 0.5", "optim"),
+                              (text + "[run]\nseed = 4\n", "seed = 4", "run")):
+        path.write_text(twice)
+        line, key = twice.splitlines().index(again) + 1, again.split()[0]
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:{line}: '{key}' is set "
+                                                        f"twice in [{sec}]")):
+            load_config(path=path)
+    conf, teacher_out, _ = cli_run
+    header, tensors = load_checkpoint(teacher_out / "final.ckpt")
+    ckpt = tmp_path / "twice.ckpt"
+    save_checkpoint(ckpt, header.replace("pad = 0\n", "pad = 0\npad = 2\n"), tensors)
+    line = header.splitlines().index("pad = 0") + 2
+    capsys.readouterr()
+    assert main(["eval", "--config", str(conf), "--ckpt", str(ckpt)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {ckpt}:{line}: 'pad' is set twice in [data]"]
 
 
 def test_config_file_overrides_preset(tmp_path):
@@ -268,6 +300,23 @@ def test_cli_distill_is_byte_deterministic(cli_run, tmp_path):
         (student_out / "final.ckpt").read_bytes()
 
 
+def test_cli_distill_records_the_resolved_n_decay_once(cli_run, tmp_path):
+    """With no [distill] n_decay, cdkd distill decays over the first LR
+    milestone: its header's [distill] records that n_decay, and no [edt]
+    section repeats alpha, lambda and n_decay."""
+    conf, teacher_out, _ = cli_run
+    bare = tmp_path / "bare.conf"
+    bare.write_text(conf.read_text().replace("n_decay = 2\n", ""))
+    out = tmp_path / "out"
+    assert main(["distill", "--config", str(bare), "--out-dir", str(out),
+                 "--teacher-ckpt", str(teacher_out / "final.ckpt")]) == 0
+    header, _ = load_checkpoint(out / "final.ckpt")
+    assert "[distill]\ntemperature = 4\nalpha = 1\nlam = 0.5\nn_decay = 50\n" in header
+    assert "[edt]" not in header and header.count("n_decay") == 1
+    rows = [r.split(",") for r in (out / "metrics.csv").read_text().splitlines()[1:]]
+    assert [r[2] for r in rows] == [format_value(0.5 ** (e / 50)) for e in range(2)]
+
+
 def test_readme_header_sections_are_the_ones_distill_writes(cli_run):
     """The README's table of header sections names, in order, the sections
     and records of a distill run's checkpoint header."""
@@ -296,8 +345,9 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
 def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, capsys):
     """A checkpoint whose header lacks a section or field, or has a key its
     record has no field for (as one written while NetworkSpec had residual
-    and downsample, EdtParams had stepwise and DistillConfig had
-    plain_kd_fallback and kd_t_squared), or stats that are not finite,
+    and downsample, [data] had random_crop and DistillConfig had
+    plain_kd_fallback and kd_t_squared), or a section no record reads (as
+    [edt] was), or stats that are not finite,
     stds of 0 or other than one mean and one std per input channel, or
     whose tensor table lacks a parameter, is one error line naming the
     file: not a divide-by-zero warning or an error rate over broadcast
@@ -312,8 +362,9 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
                                 "downsample = 0,1\ninput_channels = 3\nresidual = true\n")
     s_header, s_tensors = load_checkpoint(student_out / "final.ckpt")
     edt = "[edt]\nalpha = 1\nlam = 0.5\nn_decay = 2\n"
-    assert edt in s_header
-    older_edt = s_header.replace(edt, edt + "stepwise = false\n")
+    assert "[edt]" not in s_header and "\n[teacher]" in s_header
+    older_edt = s_header.replace("\n[teacher]", f"\n{edt}stepwise = false\n[teacher]")
+    older_crop = s_header.replace("pad = 0\n", "pad = 0\nrandom_crop = false\n")
     gkd = "gkd_enabled = true\n"
     assert gkd in s_header
     older_kd, older_t2 = (s_header.replace(gkd, f"{gkd}{key} = false\n")
@@ -343,7 +394,8 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
             ("sub-seeds.ckpt", sub_seeds, tensors, missing("'seed'")),
             ("no-fc-b.ckpt", header, short_table, missing("'fc.b'")),
             ("older-arch.ckpt", older_arch, tensors, "[arch.model] unknown key 'downsample'"),
-            ("older-edt.ckpt", older_edt, s_tensors, "[edt] unknown key 'stepwise'"),
+            ("older-edt.ckpt", older_edt, s_tensors, "unknown section [edt]"),
+            ("older-crop.ckpt", older_crop, s_tensors, "[data] unknown key 'random_crop'"),
             ("older-kd.ckpt", older_kd, s_tensors, "[distill] unknown key 'plain_kd_fallback'"),
             ("older-t2.ckpt", older_t2, s_tensors, "[distill] unknown key 'kd_t_squared'"),
             ("nan-means.ckpt", nan_means, tensors,
@@ -373,7 +425,7 @@ def test_cli_eval_refuses_an_image_size_the_checkpoint_cannot_halve(cli_run, tmp
     ckpt = tmp_path / "deeper.ckpt"
     save_checkpoint(ckpt, deeper, {n: p.data for n, p in net.parameters()})
     six = tmp_path / "six.conf"
-    six.write_text(conf.read_text() + "\n[data]\nimage_size = 6\n")
+    six.write_text(overlaid(conf.read_text(), "[data]\nimage_size = 6\n"))
     capsys.readouterr()
     assert main(["eval", "--config", str(six), "--ckpt", str(ckpt)]) == 2
     assert capsys.readouterr().err.strip().splitlines() == [
@@ -389,10 +441,10 @@ def test_cifar_net_too_deep_for_32x32_is_refused_before_any_file(cli_run, tmp_pa
     data = tmp_path / "cifar.bin"
     data.write_bytes(bytes(4 * 3073))       # four black images of class 0
     cifar = tmp_path / "cifar.conf"
-    cifar.write_text(conf.read_text() + f"\n[data]\nsource = cifar10\npath = {data}\n"
-                                        f"val_path = {data}\n")
+    cifar.write_text(overlaid(conf.read_text(), f"[data]\nsource = cifar10\npath = {data}\n"
+                                                f"val_path = {data}\n"))
     deep = tmp_path / "deep.conf"
-    deep.write_text(cifar.read_text() + "\n[model.teacher]\nchannels = 4,4,4,4,4,4,4\n")
+    deep.write_text(overlaid(cifar.read_text(), "[model.teacher]\nchannels = 4,4,4,4,4,4,4\n"))
     why = "[data] image_size must be a positive multiple of 64 for {}, got 32x32 cifar10 images"
     with pytest.raises(ConfigError, match=re.escape(f"{deep}: {why.format('[model.teacher]')}")):
         load_config(path=deep)
@@ -416,7 +468,7 @@ def test_cifar_net_too_deep_for_32x32_is_refused_before_any_file(cli_run, tmp_pa
 def test_cli_eval_with_other_class_count_names_both_files(cli_run, tmp_path, capsys):
     conf, teacher_out, _ = cli_run
     five = tmp_path / "five.conf"
-    five.write_text(conf.read_text() + "\n[data]\nclasses = 5\n")
+    five.write_text(overlaid(conf.read_text(), "[data]\nclasses = 5\n"))
     ckpt = teacher_out / "final.ckpt"
     assert main(["eval", "--config", str(five), "--ckpt", str(ckpt)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -428,7 +480,7 @@ def test_cli_resume_on_a_broken_tensor_table_is_one_error_line(cli_run, tmp_path
     parameter exits 2 with one line naming the file and the tensor."""
     conf, teacher_out, student_out = cli_run
     longer = tmp_path / "longer.conf"
-    longer.write_text(conf.read_text() + "\n[run]\nepochs = 3\n")
+    longer.write_text(overlaid(conf.read_text(), "[run]\nepochs = 3\n"))
     header, tensors = load_checkpoint(student_out / "last.ckpt")
     assert tensors["adapter0.w"].shape == (6, 4, 1, 1)
     cases = (("wide-adapter.ckpt", {**tensors, "adapter0.w": tensors["fc.w"]},
@@ -461,9 +513,9 @@ def test_cli_eval_reads_only_the_val_split(cli_run, tmp_path, capsys):
     val.write_bytes(b"".join(bytes([label]) + rng.integers(0, 256, 3072, np.uint8).tobytes()
                              for label in range(4)))
     cifar = tmp_path / "cifar.conf"
-    cifar.write_text(conf.read_text() + f"\n[data]\nsource = cifar10\n"
-                                        f"path = {tmp_path / 'missing-train.bin'}\n"
-                                        f"val_path = {val}\n")
+    cifar.write_text(overlaid(conf.read_text(), f"[data]\nsource = cifar10\n"
+                                                f"path = {tmp_path / 'missing-train.bin'}\n"
+                                                f"val_path = {val}\n"))
     capsys.readouterr()
     assert main(["eval", "--config", str(cifar), "--ckpt", str(ckpt)]) == 0
     assert "top-1 error" in capsys.readouterr().out
@@ -482,7 +534,7 @@ def test_cli_split_the_host_cannot_hold_is_one_error_line(tmp_path, capsys, spli
     wide), is refused before a sample is drawn, as one line naming the
     config, the split and the [data] keys that size it."""
     conf = write_config(tmp_path, tmp_path / "out")
-    conf.write_text(conf.read_text() + f"\n[data]\n{key} = {value}\n")
+    conf.write_text(overlaid(conf.read_text(), f"[data]\n{key} = {value}\n"))
     sizing = {"classes": 4, f"per_class_{split}": 16 if split == "train" else 8,
               "image_size": 8, key: value}
     capsys.readouterr()
@@ -500,8 +552,8 @@ def test_cli_directory_path_is_one_error_line(tmp_path, capsys, where):
     conf = write_config(tmp_path, tmp_path / "out")
     argv = ["eval", "--config", str(conf), "--ckpt", str(folder)]
     if where == "[data] path":
-        conf.write_text(conf.read_text() + f"\n[data]\nsource = cifar10\npath = {folder}\n"
-                                           f"val_path = {folder}\n")
+        conf.write_text(overlaid(conf.read_text(), f"[data]\nsource = cifar10\n"
+                                                   f"path = {folder}\nval_path = {folder}\n"))
         argv = ["train-teacher", "--config", str(conf)]
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()

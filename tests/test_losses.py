@@ -6,7 +6,7 @@ import pytest
 from cdkd import oracle
 from cdkd.losses import (DistillConfig, cd_loss, ce_loss,
                          channel_weights, gkd_loss, kd_loss, total_loss)
-from cdkd.tensor import Tensor, backward
+from cdkd.tensor import Tensor, backward, global_avg_pool
 
 
 def cw(values):
@@ -33,8 +33,11 @@ def test_channel_weights_random_vs_oracle():
 
 
 def test_channel_weights_rejects_non_4d():
-    with pytest.raises(ValueError, match="4-D"):
-        channel_weights(Tensor(np.zeros((3, 4))))
+    """channel_weights is global_avg_pool, whose 4-D check is the one check."""
+    assert channel_weights is global_avg_pool
+    for shape in ((3, 4), (2, 3, 4)):
+        with pytest.raises(ValueError, match="4-D"):
+            channel_weights(Tensor(np.zeros(shape, dtype=np.float32)))
 
 
 # -- cd loss ---------------------------------------------------------------

@@ -673,6 +673,7 @@ def test_teacher_cache_is_bit_identical_to_live_teacher(uneven_run, tiny_specs, 
     (dict(pad=2, random_crop=False), True),
     (dict(hflip_prob=0.5), False),
     (dict(pad=2, random_crop=True), False),
+    (dict(pad=2), False),                   # pad > 0 is the crop
 ])
 def test_teacher_runs_live_only_where_the_cache_cannot_serve(uneven_run, tiny_specs,
                                                              tmp_path, monkeypatch, aug,
@@ -691,6 +692,33 @@ def test_teacher_runs_live_only_where_the_cache_cannot_serve(uneven_run, tiny_sp
     else:
         expected = [32, 32, 32, 4] * 3
     assert calls == expected
+
+
+def test_a_pad_with_the_crop_off_is_pad_0(uneven_run, tiny_specs, tmp_path):
+    """AugmentConfig(pad=2, random_crop=False) crops nothing, so it is pad 0:
+    its header records [data] pad = 0, and a pad = 0 run resumes from it onto
+    the uninterrupted pad = 0 run. (That the teacher-target cache serves it,
+    test_teacher_runs_live_only_where_the_cache_cannot_serve checks.)"""
+    train, val, teacher_ckpt = uneven_run
+    _, student = tiny_specs
+    stats = channel_stats(train)
+
+    def run(out_dir, aug, epochs, resume_from=None):
+        return distill(teacher_ckpt, student, train, val, DISTILL_CFGS["cd+gkd"], SGD,
+                       SCHED, EdtParams(1.0, 0.5, 2), epochs=epochs, seed=4,
+                       out_dir=out_dir, batch_size=CACHE_BATCH, aug_cfg=aug,
+                       resume_from=resume_from)
+
+    off = AugmentConfig(*stats, pad=2, random_crop=False)
+    assert off.pad == 0 and not off.randomizes
+    cut = run(tmp_path / "run", off, 2)
+    header, _ = load_checkpoint(cut.final_ckpt)
+    assert re.search(r"(?m)^\[data\]\nbatch_size = 32\npad = 0\nhflip_prob = 0\ncrc = ", header)
+    full = run(tmp_path / "full", AugmentConfig(*stats), 3)
+    resumed = run(tmp_path / "run", AugmentConfig(*stats), 3,
+                  resume_from=tmp_path / "run" / "last.ckpt")
+    assert strip_wall(resumed.csv_path.read_text()) == strip_wall(full.csv_path.read_text())
+    assert run_dir_bytes(resumed, "final.ckpt") == run_dir_bytes(full, "final.ckpt")
 
 
 def test_teacher_runs_once_per_row_on_an_even_split(tiny_data, tiny_specs, tmp_path,
