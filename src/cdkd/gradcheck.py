@@ -17,11 +17,11 @@ import numpy as np
 
 from . import oracle
 from .losses import DistillConfig, cd_loss, ce_loss, channel_weights, gkd_loss, kd_loss
-from .models import NetworkSpec, build_network, forward_with_taps, freeze, make_adapter
+from .models import NetworkSpec, build_network, freeze, make_adapter
 from .optim import EdtParams, edt_weight
 from .tensor import (Tensor, add_bias, backward, conv2d, global_avg_pool,
                      softened_softmax)
-from .train import batch_objective
+from .train import batch_objective, teacher_targets
 
 GRAD_TOL = 1e-3
 VALUE_TOL = 1e-5
@@ -125,6 +125,8 @@ def grad_reports(seed: int = 0, cases: int = 20) -> List[OracleReport]:
         reports.append(_grad_report(f"grad/add/{i}", lambda t: (t + yt).sum(), x0))
         reports.append(_grad_report(f"grad/sub/{i}",
                                     lambda t: (t - yt).square().sum(), x0))
+        reports.append(_grad_report(f"grad/sub-right/{i}",
+                                    lambda t: (yt - t).square().sum(), x0))
         reports.append(_grad_report(f"grad/mul/{i}", lambda t: (t * yt).sum(), x0))
         reports.append(_grad_report(f"grad/scalar-mul/{i}",
                                     lambda t: (t * 1.7).sum(), x0))
@@ -202,8 +204,7 @@ def composite_grad_reports(seed: int = 0) -> List[OracleReport]:
     labels = np.array([0, 2])
     w_edt = edt_weight(EdtParams(alpha=0.7, lam=0.5, n_decay=10), epoch=5)
     cfg = DistillConfig(temperature=4.0, alpha=0.7, gkd_enabled=True)
-    t_logits, t_taps = forward_with_taps(teacher, x)
-    t_gaps = [channel_weights(t) for t in t_taps]
+    t_logits, *t_gaps = teacher_targets(teacher, x)
 
     def objective(name: str, t: Tensor) -> Tensor:
         """The objective as a function of the one parameter ``name``: ``t`` takes

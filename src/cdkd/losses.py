@@ -165,7 +165,7 @@ def total_loss(cd_terms: Sequence[Tensor], gkd: Optional[Tensor], ce: Tensor,
         gkd_val = gkd.item()
     else:
         gkd_val = 0.0
-    terms.append(ce if len(terms) == 0 else ce.astype(np.float64))
+    terms.append(ce.astype(np.float64))
     objective = terms[0]
     for t in terms[1:]:
         objective = objective + t

@@ -71,6 +71,8 @@ def edt_weight(params, epoch: int) -> float:
     """The decay weight of ``params``, an EdtParams or a DistillConfig whose n_decay is set."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
+    if params.n_decay is None:
+        raise ValueError("n_decay must be set to give a decay weight, got None")
     return params.alpha * params.lam ** (epoch / params.n_decay)
 
 

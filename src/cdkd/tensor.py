@@ -158,11 +158,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Tensor":
-        def vjp(g, a=self):
-            a._accum(-g)
-        return Tensor._from_op(-self.data, (self,), vjp)
-
     def __sub__(self, other) -> "Tensor":
         od, ot = self._coerce(other, "sub")
         def vjp(g, a=self, b=ot):

@@ -6,15 +6,15 @@ the identical code path and consume identical RNG streams, so the two
 produce bit-identical trajectories for the same seed. The teacher network
 is frozen for the whole distillation run and its parameter checksum is
 verified at the end of every run. When augmentation only normalizes, the
-teacher's outputs for each sample are kept from its first full batch and
-reused by later ones; a live teacher forward runs whole, a batch ahead, on a worker thread.
+teacher's targets for each sample are kept from its first full batch and
+reused by later ones; each batch's targets are made a batch ahead on a worker thread.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -202,41 +202,52 @@ def _refuse_other(path, whose: str, theirs: Dict[str, object], ours: Dict[str, o
 # -- the shared fit loop ------------------------------------------------------
 
 
-class _TeacherTargets:
-    """The frozen teacher's targets per training sample: its logits and, when
-    CD is on, the GAP vector of each tap. Rows are written by the live
-    teacher forward of a full batch and read back by later full batches."""
+def teacher_targets(teacher: Network, x: Tensor) -> List[Tensor]:
+    """What CD and GKD take from the frozen teacher for input ``x``: its
+    logits, then the GAP vector of each of its taps."""
+    t_logits, t_taps = forward_with_taps(teacher, x)
+    return [t_logits] + [channel_weights(t) for t in t_taps]
 
-    def __init__(self, n: int):
+
+class _TeacherTargets:
+    """``teacher_targets`` per training sample. A full batch whose rows are all
+    kept reads them back; any other runs the teacher, and a full one keeps its
+    rows. A row's bits do not depend on which rows share a batch of one size,
+    but can on the size, so a short batch never reads or writes a row."""
+
+    def __init__(self, teacher: Network, n: int, batch_size: int):
+        self.teacher, self.batch_size = teacher, batch_size
         self.filled = np.zeros(n, dtype=bool)
         self.arrays: List[np.ndarray] = []   # [n, classes], then [n, c_t] per tap
 
-    def get(self, idx: np.ndarray) -> Optional[List[Tensor]]:
-        if not self.filled[idx].all():
-            return None
-        return [Tensor(a[idx]) for a in self.arrays]
-
-    def put(self, idx: np.ndarray, outs: List[Tensor]) -> None:
-        if not self.arrays:
-            n = len(self.filled)
-            self.arrays = [np.empty((n,) + o.shape[1:], dtype=o.data.dtype) for o in outs]
-        for a, o in zip(self.arrays, outs):
-            a[idx] = o.data
-        self.filled[idx] = True
+    def __call__(self, idx: np.ndarray, x: Tensor) -> List[Tensor]:
+        full = len(idx) == self.batch_size
+        if full and self.filled[idx].all():
+            return [Tensor(a[idx]) for a in self.arrays]
+        outs = teacher_targets(self.teacher, x)
+        if full:
+            if not self.arrays:
+                n = len(self.filled)
+                self.arrays = [np.empty((n,) + o.shape[1:], dtype=o.data.dtype) for o in outs]
+            for a, o in zip(self.arrays, outs):
+                a[idx] = o.data
+            self.filled[idx] = True
+        return outs
 
 
 def _batches(ds: Dataset, batch_size: int, order_seed: int, aug_cfg: AugmentConfig,
-             aug_rng: np.random.Generator, targets):
-    """The epoch's (indices, augmented input, labels, ``targets(indices, input)``); batch
-    k+1's targets are asked for before batch k is yielded, so they can overlap step k."""
+             aug_rng: np.random.Generator, pool, teach):
+    """The epoch's (augmented input, labels, teacher targets): ``teach(indices,
+    input)`` run on ``pool``, or None with no pool. Batch k+1's targets are
+    submitted before batch k's are joined, so they can overlap step k."""
     held = None
     for idx, imgs, labels in iterate_batches(ds, batch_size, order_seed):
         x = Tensor(augment_batch(imgs, aug_cfg, aug_rng))
-        held, batch = (idx, x, labels, targets(idx, x)), held
+        held, batch = (x, labels, pool and pool.submit(teach, idx, x)), held
         if batch is not None:
-            yield batch
+            yield batch[:2] + (batch[2] and batch[2].result(),)
     if held is not None:
-        yield held
+        yield held[:2] + (held[2] and held[2].result(),)
 
 
 def batch_objective(net: Network, adapters: List[Optional[Tensor]], x: Tensor,
@@ -329,10 +340,9 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
     out_dir.mkdir(parents=True, exist_ok=True)
 
     teacher_crc = records["teacher"].checksum if teacher is not None else None
-    # a row's bits do not depend on which rows share a batch of one size, but can on
-    # the size: short batches always run the live teacher and never touch the cache
-    cache = (_TeacherTargets(len(train_ds))
-             if need_teacher and not aug_cfg.randomizes else None)
+    # run on the worker thread, the only one that reads or writes the cache
+    teach = (_TeacherTargets(teacher, len(train_ds), batch_size) if not aug_cfg.randomizes
+             else lambda idx, x: teacher_targets(teacher, x))
     csv_path = out_dir / "metrics.csv"
     csv_lines = [",".join(CSV_COLUMNS)]
     if resume_from is not None and csv_path.exists():
@@ -355,14 +365,6 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
         save_checkpoint(out_dir / name, emit_sections(
             {sec: format_record(r) for sec, r in records.items()}), tensors)
 
-    def targets(idx, x):    # cached [logits, *tap GAPs], else a future of the live teacher's
-        full = cache is not None and len(idx) == batch_size
-        return (full and cache.get(idx)) or (pool.submit(teach, x) if need_teacher else None)
-
-    def teach(x):         # on the worker thread
-        t_logits, t_taps = forward_with_taps(teacher, x)
-        return [t_logits] + ([channel_weights(tt) for tt in t_taps] if cd_on else [])
-
     with (ThreadPoolExecutor(max_workers=1) if need_teacher else nullcontext()) as pool:
         for epoch in range(state.epoch, epochs):
             t_epoch = time.perf_counter()
@@ -373,13 +375,9 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
             order_seed = derive_epoch(derive(seed, "shuffle"), epoch)
             sums = np.zeros(4)    # total, cd, gkd, ce, sample-weighted
             n_seen = n_correct_teacher = n_correct_train = 0
-            for idx, x, labels, t_out in _batches(train_ds, batch_size, order_seed, aug_cfg,
-                                                  aug_rng, targets):
+            for x, labels, t_out in _batches(train_ds, batch_size, order_seed, aug_cfg,
+                                             aug_rng, pool, teach):
                 bs = len(labels)
-                if isinstance(t_out, Future):    # joined here, so the cache is the main thread's
-                    t_out = t_out.result()
-                    if cache is not None and bs == batch_size:
-                        cache.put(idx, t_out)
                 t_logits, *t_gaps = t_out or [None]
                 # s_taps stays bound until the next step's objective returns: freed before
                 # backward, glibc trims the heap top and each teacher step faults ~3,400 pages

@@ -5,8 +5,10 @@ to watch them live). The desk-scale ablation (criterion 5) trains one
 teacher and twenty students; expect a few minutes of wall time.
 """
 
+import importlib.util
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,11 @@ from cdkd.models import NetworkSpec
 from cdkd.optim import EdtParams, LrSchedule, SgdConfig, edt_weight
 from cdkd.tensor import Tensor, backward
 from cdkd.train import distill, train_teacher
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "ledger.py"
+_spec = importlib.util.spec_from_file_location("ledger", _TOOL)
+ledger = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ledger)
 
 
 @contextmanager
@@ -202,6 +209,20 @@ def test_criterion_5_desk_scale_ablation(ablation):
         assert means["student (scratch)"] > means["CD"]
         assert means["CD+GKD+EDT"] <= means["CD"]
         assert ablation["wall"] <= 20 * 60, f"ablation took {ablation['wall']:.0f}s"
+
+
+def test_ablation_runs_match_the_ledger(ablation):
+    """The teacher's and every student's metrics.csv (less wall_seconds) and
+    final.ckpt hash as tests/ablation.ledger records; skipped, naming the
+    difference, on a host whose Python, numpy or BLAS is not the ledger's."""
+    host, runs = ledger.read()
+    here = ledger.fingerprint()
+    if here != host:
+        pytest.skip("host is not the ledger's: " + "; ".join(
+            f"{k} {here.get(k)} != {v}" for k, v in host.items() if here.get(k) != v))
+    dirs = [ablation["root"] / "teacher", *ablation["run_dirs"].values()]
+    got = {d.name: ledger.digests(d) for d in dirs}
+    assert [n for n in sorted(got.keys() | runs.keys()) if got.get(n) != runs.get(n)] == []
 
 
 def test_criterion_6_edt_schedule_in_logs(ablation):

@@ -164,6 +164,8 @@ def test_missing_required_section():
     with pytest.raises(ConfigError, match=r"\[run\]"):
         build_config(parse_kv_text("[data]\nsource = synthetic\n[optim]\nlr0 = 0.1\n"
                                    "[schedule]\nfactor = 0.1\n"))
+    with pytest.raises(ConfigError, match=r"\[run\] is missing required key 'epochs'"):
+        build_config(parse_kv_text(TINY_CONFIG.format(out="o").replace("epochs = 2\n", "")))
 
 
 def test_n_decay_defaults_to_first_milestone(tmp_path):
@@ -340,6 +342,17 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
     assert main(["train-teacher", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "learning_rat" in err
+    assert main(["train-teacher"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: no configuration given: pass --config and/or --preset"]
+    text = TINY_CONFIG.format(out=tmp_path / "out")
+    for argv, section, end in ((["train-teacher"], "model.teacher", "[model.student]"),
+                               (["distill", "--teacher-ckpt", "t.ckpt"], "distill", "[run]")):
+        cut = tmp_path / "cut.conf"
+        cut.write_text(text[:text.index(f"[{section}]")] + text[text.index(end):])
+        assert main(argv + ["--config", str(cut)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: missing [{section}] section"]
 
 
 def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, capsys):

@@ -246,11 +246,13 @@ def test_total_decomposition_identity():
         assert abs(bd.total - (bd.edt_weight * bd.cd + bd.gkd + bd.ce)) <= 1e-6
 
 
-def test_total_without_cd_or_gkd_reuses_ce_node():
-    ce = _scalar(2.0)
+def test_total_without_cd_or_gkd_is_ce_in_float64():
+    ce = Tensor(np.float32(2.1), requires_grad=True)
     bd = total_loss([], None, ce, edt_weight=0.0)
-    assert bd.objective is ce
-    assert bd.cd == 0.0 and bd.gkd == 0.0
+    assert bd.objective.data.dtype == np.float64 and bd.objective.item() == ce.item()
+    assert bd.cd == 0.0 and bd.gkd == 0.0 and bd.total == bd.ce
+    backward(bd.objective)
+    assert ce.grad.dtype == np.float32 and ce.grad == 1.0
 
 
 def test_distill_config_validation():

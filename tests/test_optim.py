@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cdkd.losses import DistillConfig
 from cdkd.optim import (EdtParams, LrSchedule, SgdConfig, SgdOptimizer, edt_weight,
                         lr_at_epoch)
 from cdkd.tensor import Tensor
@@ -148,3 +149,9 @@ def test_edt_param_validation():
         EdtParams(alpha=1.0, lam=1.5, n_decay=10)
     with pytest.raises(ValueError):
         EdtParams(alpha=1.0, lam=0.5, n_decay=0)
+
+
+def test_edt_of_a_config_with_no_n_decay_names_it():
+    with pytest.raises(ValueError, match="n_decay must be set"):
+        edt_weight(DistillConfig(), 0)
+    assert edt_weight(DistillConfig(alpha=1.0, lam=0.5, n_decay=2), 2) == 0.5

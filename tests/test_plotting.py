@@ -28,6 +28,15 @@ def test_svg_has_one_tick_per_epoch(tmp_path):
     assert "edt_weight" in text
 
 
+def test_cli_plot_keeps_every_other_tick_past_25_epochs(tmp_path, capsys):
+    csv, out = tmp_path / "m.csv", tmp_path / "m.svg"
+    csv.write_text(_csv_rows(60))
+    assert main(["plot", "--csv", str(csv), "--out", str(out)]) == 0
+    ticks = re.findall(r'class="x-tick">.*?>(\d+)</text>', out.read_text())
+    assert ticks == [str(e) for e in range(0, 60, 2)] * 2
+    assert capsys.readouterr().out == f"wrote {out}\n"
+
+
 def test_svg_bytes_deterministic(tmp_path):
     csv = tmp_path / "m.csv"
     csv.write_text(_csv_rows(4))

@@ -227,7 +227,7 @@ def test_distill_keeps_teacher_frozen_and_moves_student(tiny_data, tiny_specs, t
 
 def test_distill_tap_count_mismatch_rejected(tiny_data, tmp_path, monkeypatch):
     """A teacher whose taps, classes or input channels do not match the
-    student is refused before any step, with or without GKD."""
+    student is refused before any step, with or without GKD; so is no teacher."""
     train, val = tiny_data
     six = [make_synthetic(6, 8, 8, seed=7, split=s) for s in ("train", "val")]
     gray = [Dataset(d.images[:, :1].copy(), d.labels, d.class_count)
@@ -255,6 +255,9 @@ def test_distill_tap_count_mismatch_rejected(tiny_data, tmp_path, monkeypatch):
             distill(tres.final_ckpt, s_spec, train, val, cfg, SGD, SCHED,
                     EdtParams(1.0, 0.5, 5), epochs=1, seed=0, out_dir=tmp_path / f"s{k}",
                     batch_size=32)
+    with pytest.raises(ValueError, match="no teacher provided"):
+        distill(None, four, train, val, cd_only, SGD, SCHED, EdtParams(1.0, 0.5, 5),
+                epochs=1, seed=0, out_dir=tmp_path / "none", batch_size=32)
     assert calls == []
 
 

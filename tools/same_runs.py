@@ -33,7 +33,8 @@ def compared_files(root: Path) -> dict:
             if p.is_file() and (p.name == "metrics.csv" or p.suffix == ".ckpt")}
 
 
-def _csv_rows(path: Path) -> list:
+def csv_rows(path: Path) -> list:
+    """The CSV's rows, split into fields, less the timing column."""
     rows = [line.split(",") for line in path.read_text().splitlines()]
     drop = rows[0].index(TIMING_COLUMN) if rows and TIMING_COLUMN in rows[0] else -1
     return [[v for i, v in enumerate(r) if i != drop] for r in rows]
@@ -41,7 +42,7 @@ def _csv_rows(path: Path) -> list:
 
 def csv_difference(a: Path, b: Path):
     """None, or where the two CSVs first differ with the timing column dropped."""
-    ra, rb = _csv_rows(a), _csv_rows(b)
+    ra, rb = csv_rows(a), csv_rows(b)
     for n, (x, y) in enumerate(zip(ra, rb), start=1):
         if x != y:
             header = ra[0] if ra else []
