@@ -152,9 +152,9 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], x, step: float = 1e-3) ->
     """Central differences of a scalar function, one coordinate at a time.
 
     f receives a float64 copy of x so the evaluations happen in wider
-    precision than the engine's float32 forward pass.
+    precision than the engine's float32 forward pass; x itself is never touched.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.array(x, dtype=np.float64, order="C")   # C order: flat below is a view of it
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)

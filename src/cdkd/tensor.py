@@ -125,10 +125,9 @@ class Tensor:
         return Tensor._from_op(self.data, (), None)
 
     def _accum(self, g: np.ndarray) -> None:
-        # float32 leaves keep float32 gradients even under float64 upstream;
-        # a fresh gradient is always C-contiguous, whatever g's layout
+        # float32 leaves keep float32 gradients; a fresh one keeps g's memory order
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, order="C")
+            self.grad = np.array(g, dtype=self.data.dtype, order="K")
         else:
             self.grad += g.astype(self.data.dtype, copy=False)
 
@@ -276,8 +275,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     [n*h_out*w_out, c_in*kh*kw], columns in (c, i, j) order, filled by kh*kw
     slice copies ``cols[..., i, j] = xp[:, i::s, j::s, :]`` from a channels-last
     view of the input (zero-padded into a fresh NHWC buffer only if padding > 0).
-    The backward pass reuses ``cols`` for the kernel gradient, drops it, and adds
-    the input gradient columns back in the same (i, j) order into an NHWC buffer.
+    The output is the NCHW view of the GEMM's NHWC rows; the backward pass reuses
+    ``cols`` for the kernel gradient, drops it, and adds the input gradient columns
+    back in the same (i, j) order into an NHWC buffer, so neither copies to NCHW.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d: expects 4-D input and kernel, got {x.shape} and {kernel.shape}")
@@ -312,8 +312,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     cols = cols.reshape(n * h_out * w_out, c_in * kh * kw)
     wmat = kernel.data.reshape(c_out, c_in * kh * kw)
     out_flat = cols @ wmat.T
-    out_data = np.ascontiguousarray(
-        out_flat.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2))
+    out_data = out_flat.reshape(n, h_out, w_out, c_out).transpose(0, 3, 1, 2)
 
     def vjp(g, a=x, k=kernel, held=[cols], wmat=wmat, pad=padding, s=stride,
             dims=(n, c_in, h, w, c_out, kh, kw, h_out, w_out)):
@@ -344,7 +343,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
     inv = 1.0 / (h * w)
     def vjp(g, a=x, inv=inv):
         a._accum(np.broadcast_to((g * inv)[:, :, None, None], a.shape))
-    return Tensor._from_op(x.data.mean(axis=(2, 3)), (x,), vjp)
+    # the mean runs over NCHW memory: over channels-last it sums in another order
+    return Tensor._from_op(np.ascontiguousarray(x.data).mean(axis=(2, 3)), (x,), vjp)
 
 
 def softened_softmax(logits: Tensor, temperature: float) -> Tensor:

@@ -1,4 +1,12 @@
-import numpy as np
+import os
+
+# one BLAS/OpenMP thread, set before numpy loads its BLAS, as bench/run.py's
+# worker_env does: the GEMMs here are small, and on a loaded host BLAS threads
+# that wait beside _fit's teacher worker made a tier-1 session several times slower
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from cdkd.data import make_synthetic

@@ -30,6 +30,25 @@ def test_finite_diff_on_half_norm():
     np.testing.assert_allclose(grad, x0, atol=1e-5)
 
 
+def test_finite_diff_on_a_transposed_float64_input():
+    x = np.ascontiguousarray(np.arange(6.0).reshape(2, 3).T).T     # float64, not C-ordered
+    grad = oracle.finite_diff_grad(lambda a: float((a * a).sum()), x)
+    np.testing.assert_allclose(grad, 2.0 * x, atol=1e-6)
+
+
+def test_finite_diff_never_perturbs_the_callers_array():
+    x = np.random.default_rng(3).normal(size=(3, 4))
+    before = x.copy()
+
+    def f(a):
+        assert a is not x and x.tobytes() == before.tobytes()
+        return float(a.sum())
+
+    grad = oracle.finite_diff_grad(f, x)
+    np.testing.assert_allclose(grad, np.ones((3, 4)), atol=1e-9)
+    assert x.tobytes() == before.tobytes()
+
+
 def test_conv_matches_loop_oracle():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(1, 2, 4, 4)).astype(np.float32)

@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 
 import numpy as np
@@ -383,4 +384,65 @@ def test_conv_is_bit_identical_to_im2col_reference(case, dtype):
     for got, ref in zip((out.data, x.grad, k.grad), want):
         assert np.array_equal(got, ref)
         assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
-        assert got.flags.c_contiguous and got.dtype == dtype
+        assert got.dtype == dtype
+    # a parameter's gradient is C-contiguous; an activation and its gradient
+    # keep channels-last memory behind their NCHW shape
+    assert k.grad.flags.c_contiguous
+    assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
+    assert x.grad.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def _channels_last(a: np.ndarray) -> bool:
+    return a.transpose(0, 2, 3, 1).flags.c_contiguous and not a.flags.c_contiguous
+
+
+# the CD taps and the head input of the bench nets at batch 32 and 16x16
+# inputs: teacher 12-24-48, students 4-8-16 and 6-12-24 (the adapters lift
+# the student taps to the teacher's 24@8x8 and 48@4x4)
+_TAP_SHAPES = [(32, 24, 8, 8), (32, 48, 4, 4), (32, 8, 8, 8), (32, 16, 4, 4),
+               (32, 12, 8, 8), (32, 24, 4, 4)]
+
+
+@pytest.mark.parametrize("shape", _TAP_SHAPES, ids=lambda s: f"{s[1]}@{s[2]}x{s[3]}")
+def test_pool_of_a_channels_last_map_is_bit_equal_to_its_nchw_copy(shape):
+    n, c, h, w = shape
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(n, 5, h, w)).astype(np.float32))
+    k = Tensor(rng.normal(size=(c, 5, 3, 3)).astype(np.float32))
+    tap = conv2d(x, k, padding=1).relu()
+    assert _channels_last(tap.data)
+    got = global_avg_pool(tap).data
+    want = global_avg_pool(Tensor(np.ascontiguousarray(tap.data))).data
+    assert got.tobytes() == want.tobytes()
+
+
+def test_relu_conv_chain_gradients_keep_channels_last_memory():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(4, 3, 8, 8)).astype(np.float32), requires_grad=True)
+    k1 = Tensor(rng.normal(size=(6, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    k2 = Tensor(rng.normal(size=(5, 6, 3, 3)).astype(np.float32), requires_grad=True)
+    # a leaf holding a conv output: its gradient comes through relu from a conv
+    h = conv2d(x, k1, padding=1).detach()
+    h.requires_grad = True
+    out = conv2d(h.relu(), k2, padding=1)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    backward((out * Tensor(g)).sum())
+    assert _channels_last(h.data) and _channels_last(h.grad)
+    assert k2.grad.flags.c_contiguous
+    # the same chain from an NCHW input: the input gradient is channels-last
+    backward(global_avg_pool(conv2d(conv2d(x, k1, padding=1).relu(), k2, padding=1)).sum())
+    assert _channels_last(x.grad)
+    assert k1.grad.flags.c_contiguous and k2.grad.flags.c_contiguous
+
+
+def test_blas_runs_on_the_calling_thread_only():
+    """conftest pins one BLAS thread: after a GEMM large enough to fan out,
+    every OS thread of this process is a Python thread."""
+    want = os.environ.get("OPENBLAS_NUM_THREADS")
+    if want not in (None, "1"):
+        pytest.skip(f"the caller asked for OPENBLAS_NUM_THREADS={want}")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    a = np.ones((768, 768), np.float32)
+    a @ a
+    assert len(os.listdir("/proc/self/task")) == threading.active_count()

@@ -13,7 +13,7 @@ from cdkd.data import (AugmentConfig, Dataset, channel_stats, iterate_batches,
 from cdkd.kvtext import format_value
 from cdkd.losses import DistillConfig, cd_loss, channel_weights
 from cdkd.models import NetworkSpec, build_network, forward_with_taps, make_adapter
-from cdkd.optim import EdtParams, LrSchedule, SgdConfig
+from cdkd.optim import EdtParams, LrSchedule, SgdConfig, SgdOptimizer
 from cdkd.seeds import derive, derive_epoch
 from cdkd.tensor import Tensor
 from cdkd.train import (CSV_COLUMNS, NonFiniteLossError, Normalization, distill, evaluate,
@@ -223,6 +223,36 @@ def test_distill_keeps_teacher_frozen_and_moves_student(tiny_data, tiny_specs, t
     moved = any(a.data.tobytes() != b.data.tobytes()
                 for (_, a), (_, b) in zip(net.parameters(), fresh.parameters()))
     assert moved
+
+
+def test_parameters_grads_and_velocities_stay_c_contiguous(tiny_data, tiny_specs, tmp_path,
+                                                           monkeypatch):
+    """Activations are channels-last, parameters are not: after each SGD step of
+    a teacher epoch and a CD+GKD distill epoch (adapters included), every
+    parameter's .grad, velocity and .data is C-contiguous, the layout
+    checkpoint.save and the optimizer were written for."""
+    train, val = tiny_data
+    teacher_spec, student = tiny_specs
+    seen, not_c = set(), []
+    real_step = SgdOptimizer.step
+
+    def checked_step(self, lr):
+        real_step(self, lr)
+        for name, p in self.named_params:
+            seen.add(name)
+            flags = [a.flags.c_contiguous for a in (p.grad, self.velocity[name], p.data)]
+            if not all(flags):
+                not_c.append((name, flags))
+
+    monkeypatch.setattr(SgdOptimizer, "step", checked_step)
+    tres = train_teacher(teacher_spec, train, val, SGD, SCHED, epochs=1, seed=5,
+                         out_dir=tmp_path / "teacher", batch_size=32)
+    cfg = DistillConfig(alpha=1.0, lam=0.5, gkd_enabled=True, n_decay=5)
+    distill(tres.final_ckpt, student, train, val, cfg, SGD, SCHED,
+            EdtParams(alpha=1.0, lam=0.5, n_decay=5), epochs=1, seed=6,
+            out_dir=tmp_path / "student", batch_size=32)
+    assert {"adapter0.w", "s0b0.conv1", "s1b0.proj", "fc.w"} <= seen
+    assert not_c == []
 
 
 def test_distill_tap_count_mismatch_rejected(tiny_data, tmp_path, monkeypatch):
