@@ -50,12 +50,11 @@ def _report(case_id: str, got, want, tol: float) -> OracleReport:
                         max_rel_diff=rel, passed=rel <= tol)
 
 
-def _grad_report(case_id: str, f: Callable[[Tensor], Tensor], x0: np.ndarray,
-                 step: float = 1e-3) -> OracleReport:
+def _grad_report(case_id: str, f: Callable[[Tensor], Tensor], x0: np.ndarray) -> OracleReport:
     """Analytic gradient of f at x0 (float32 engine) vs float64 central FD."""
     x = Tensor(np.asarray(x0, dtype=np.float32), requires_grad=True)
     backward(f(x))
-    fd = oracle.finite_diff_grad(lambda arr: f(Tensor(arr)).item(), x0, step)
+    fd = oracle.finite_diff_grad(lambda arr: f(Tensor(arr)).item(), x0)
     return _report(case_id, x.grad, fd, GRAD_TOL)
 
 

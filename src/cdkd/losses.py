@@ -53,7 +53,7 @@ class DistillConfig:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
         if not (0.0 < self.lam <= 1.0):
             raise ValueError(f"lambda must be in (0, 1], got {self.lam}")
-        if self.n_decay is not None and self.n_decay < 1:
+        if self.n_decay is not None and not self.n_decay >= 1:
             raise ValueError(f"n_decay must be positive, got {self.n_decay}")
 
 

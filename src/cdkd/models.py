@@ -1,15 +1,15 @@
 """MiniConvNet: a small configurable CNN family for teacher and student roles.
 
-Stages of residual conv blocks, with a CIFAR-style stem (3x3 stride-1
-pad-1 first conv, no pooling) and a global-average-pool + dense classifier
-head. Every stage after the first halves the spatial resolution at its
-entry and emits its post-activation output as a tap, the attachment point
-for channel distillation.
+One residual block per stage, named ``s<i>b0``, with a CIFAR-style stem
+(3x3 stride-1 pad-1 first conv, no pooling) and a global-average-pool +
+dense classifier head. Every stage after the first halves the spatial
+resolution at its entry and emits its post-activation output as a tap, the
+attachment point for channel distillation.
 
-Downsampling entry convolutions and residual projections are 2x2 stride-2
-so even extents halve exactly under the conv contract (a 3x3 stride-2
-pad-1 or 1x1 stride-2 conv has no integral output size on even extents).
-Blocks carry no normalization layers; conv -> relu only.
+Downsampling convolutions and residual projections are 2x2 stride-2 so even
+extents halve exactly under the conv contract (a 3x3 stride-2 pad-1 or 1x1
+stride-2 conv has no integral output size on even extents). Blocks carry no
+normalization layers; conv -> relu only.
 """
 
 from __future__ import annotations
@@ -29,20 +29,13 @@ class NetworkSpec:
     two fields the data fixes, a config's [model.*] keys."""
     channels: Tuple[int, ...]
     num_classes: int
-    blocks: Optional[Tuple[int, ...]] = None          # None: one block per stage
     input_channels: int = 3
 
     def __post_init__(self):
-        n = len(self.channels)
         object.__setattr__(self, "channels", tuple(self.channels))
-        object.__setattr__(self, "blocks", (1,) * n if self.blocks is None
-                           else tuple(self.blocks))
-        if n < 2:
-            raise ValueError(f"need >= 2 stages, got {n}")
-        if len(self.blocks) != n:
-            raise ValueError("channels/blocks lengths differ")
-        for key, value, least in (("blocks", min(self.blocks), 1),
-                                  ("channels", min(self.channels), 1),
+        if len(self.channels) < 2:
+            raise ValueError(f"need >= 2 stages, got {len(self.channels)}")
+        for key, value, least in (("channels", min(self.channels), 1),
                                   ("num_classes", self.num_classes, 2),
                                   ("input_channels", self.input_channels, 1)):
             if value < least:
@@ -58,7 +51,8 @@ class NetworkSpec:
 
     @classmethod
     def from_channels(cls, channels, num_classes, input_channels=3) -> "NetworkSpec":
-        """One block per stage: ``NetworkSpec(channels, num_classes, input_channels=...)``."""
+        """The same as ``NetworkSpec(channels, num_classes, input_channels)``;
+        kept because ``bench/worker.py`` builds its nets with it."""
         return cls(channels, num_classes, input_channels=input_channels)
 
 
@@ -93,21 +87,18 @@ def _init_conv(rng: np.random.Generator, c_out, c_in, kh, kw) -> np.ndarray:
 def param_shapes(spec: NetworkSpec) -> Dict[str, Tuple[int, ...]]:
     """Each parameter's shape by name, in build order; allocates nothing.
 
-    The first block of each stage after the first gets a 2x2 conv1 and a 2x2
-    projection; every other conv1 is 3x3, and a width change gets a 1x1
-    projection. Every block has a 3x3 conv2."""
+    Each stage after the first gets a 2x2 conv1 and a 2x2 projection; stage 0
+    gets a 3x3 conv1 and, where the width changes, a 1x1 projection. Every
+    stage has a 3x3 conv2."""
     shapes = {}
     in_ch = spec.input_channels
-    for si, (out_ch, n_blocks) in enumerate(zip(spec.channels, spec.blocks)):
-        for bi in range(n_blocks):
-            name = f"s{si}b{bi}"
-            entry = si > 0 and bi == 0
-            k1, kp = (2, 2) if entry else (3, 1)
-            shapes[f"{name}.conv1"] = (out_ch, in_ch, k1, k1)
-            shapes[f"{name}.conv2"] = (out_ch, out_ch, 3, 3)
-            if entry or in_ch != out_ch:
-                shapes[f"{name}.proj"] = (out_ch, in_ch, kp, kp)
-            in_ch = out_ch
+    for si, out_ch in enumerate(spec.channels):
+        k1, kp = (2, 2) if si else (3, 1)
+        shapes[f"s{si}b0.conv1"] = (out_ch, in_ch, k1, k1)
+        shapes[f"s{si}b0.conv2"] = (out_ch, out_ch, 3, 3)
+        if si or in_ch != out_ch:
+            shapes[f"s{si}b0.proj"] = (out_ch, in_ch, kp, kp)
+        in_ch = out_ch
     shapes["fc.w"], shapes["fc.b"] = (in_ch, spec.num_classes), (spec.num_classes,)
     return shapes
 
@@ -135,7 +126,7 @@ def forward_with_taps(net: Network, batch: Tensor):
     Taps are ordered shallow to deep and are the stage output Tensors
     themselves, so recording them never perturbs the logits.
     """
-    spec = net.spec
+    spec, params = net.spec, net.params
     x = batch
     if x.data.ndim != 4:
         raise ValueError(f"batch must be 4-D [n,c,h,w], got {x.shape}")
@@ -144,29 +135,23 @@ def forward_with_taps(net: Network, batch: Tensor):
                          f"{spec.input_channels}")
     taps = []
     h, w = x.shape[2], x.shape[3]
-    for si, n_blocks in enumerate(spec.blocks):
+    for si in range(len(spec.channels)):
         if si:
             if h < 2 or w < 2 or h % 2 or w % 2:
                 raise ValueError(f"resolution underflow: stage {si} cannot halve {h}x{w}")
             h, w = h // 2, w // 2
-        for bi in range(n_blocks):
-            x = _forward_block(net.params, f"s{si}b{bi}", x)
+        # a stage after the first downsamples: its conv1 and projection stride 2
+        stride, pad = (2, 0) if si else (1, 1)
+        y = conv2d(x, params[f"s{si}b0.conv1"], stride=stride, padding=pad).relu()
+        y = conv2d(y, params[f"s{si}b0.conv2"], stride=1, padding=1)
+        proj = params.get(f"s{si}b0.proj")
+        shortcut = x if proj is None else conv2d(x, proj, stride=stride, padding=0)
+        x = (y + shortcut).relu()
         if si:
             taps.append(x)
     pooled = global_avg_pool(x)
-    logits = add_bias(pooled @ net.params["fc.w"], net.params["fc.b"])
+    logits = add_bias(pooled @ params["fc.w"], params["fc.b"])
     return logits, taps
-
-
-def _forward_block(params: dict, name: str, x: Tensor) -> Tensor:
-    """A 2x2 conv1 is a downsampling entry: it and the projection stride 2."""
-    w1 = params[f"{name}.conv1"]
-    stride, pad = (2, 0) if w1.shape[-1] == 2 else (1, 1)
-    y = conv2d(x, w1, stride=stride, padding=pad).relu()
-    y = conv2d(y, params[f"{name}.conv2"], stride=1, padding=1)
-    proj = params.get(f"{name}.proj")
-    shortcut = x if proj is None else conv2d(x, proj, stride=stride, padding=0)
-    return (y + shortcut).relu()
 
 
 def freeze(net: Network) -> Network:

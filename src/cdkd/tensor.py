@@ -72,13 +72,12 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "node_id", "_parents", "_vjp",
                  "_backward_ran")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             raise TypeError("Tensor(data): data is already a Tensor")
         arr = np.asarray(data)
-        if dtype is None:
-            dtype = arr.dtype if arr.dtype == np.float64 else np.float32
-        self.data = np.ascontiguousarray(arr, dtype=dtype)
+        self.data = np.ascontiguousarray(
+            arr, dtype=arr.dtype if arr.dtype == np.float64 else np.float32)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self.node_id = next(_node_counter)
@@ -349,7 +348,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def softened_softmax(logits: Tensor, temperature: float) -> Tensor:
     """Row softmax of logits[n,k] / T with max-subtraction for stability."""
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"softened_softmax: temperature must be positive, got {temperature}")
     if logits.data.ndim != 2:
         raise ShapeError(f"softened_softmax: expects 2-D logits, got {logits.shape}")

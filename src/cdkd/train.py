@@ -65,7 +65,6 @@ class TrainResult:
     state: TrainState
     val_top1: float
     val_top5: float
-    teacher_checksum: Optional[int] = None
 
 
 def topk_error(logits: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -355,7 +354,6 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
     # written once; each epoch then appends its row as one whole line, so a
     # run cut short leaves the rows of the epochs it finished
     csv_path.write_text("\n".join(csv_lines) + "\n")
-    last_val = Metrics(float("nan"), float("nan"))
 
     records["state"] = state     # the header's last section, as of each save
 
@@ -424,8 +422,7 @@ def _fit(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset, sgd_cfg: SgdConf
     return TrainResult(final_ckpt=out_dir / "final.ckpt",
                        best_ckpt=out_dir / "best.ckpt",
                        csv_path=csv_path, state=state,
-                       val_top1=last_val.top1_error, val_top5=last_val.top5_error,
-                       teacher_checksum=teacher_crc)
+                       val_top1=last_val.top1_error, val_top5=last_val.top5_error)
 
 
 def _dump_diagnostic(out_dir: Path, state: TrainState, epoch: int, lr: float,

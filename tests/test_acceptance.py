@@ -21,7 +21,7 @@ from cdkd.losses import (DistillConfig, cd_loss, gkd_loss,
 from cdkd.models import NetworkSpec
 from cdkd.optim import EdtParams, LrSchedule, SgdConfig, edt_weight
 from cdkd.tensor import Tensor, backward
-from cdkd.train import distill, train_teacher
+from cdkd.train import distill, load_model_checkpoint, train_teacher
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "ledger.py"
 _spec = importlib.util.spec_from_file_location("ledger", _TOOL)
@@ -253,9 +253,12 @@ def test_criterion_7_determinism(ablation):
             strip_wall((original_dir / "metrics.csv").read_text())
         assert (rerun_dir / "final.ckpt").read_bytes() == \
             (original_dir / "final.ckpt").read_bytes()
-        # the frozen teacher never moved: file untouched, checksum verified
+        # the frozen teacher never moved: file untouched, and the checksum the
+        # run verified at its end is the one its header records for the teacher
         assert teacher_ckpt.read_bytes() == teacher_bytes
-        assert res.teacher_checksum is not None
+        teacher, _ = load_model_checkpoint(teacher_ckpt)
+        assert load_model_checkpoint(res.final_ckpt)[1]["teacher"].checksum == \
+            teacher.checksum()
 
 
 def test_criterion_8_format_fidelity(tiny_data, tiny_specs, tmp_path):

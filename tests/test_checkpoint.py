@@ -169,7 +169,7 @@ def test_header_keys_no_record_has_are_refused(run_ckpt, tiny_data, tiny_specs):
     """A header key its section's record has no field for is refused, naming
     the file, the section and the key, and a section no record reads naming
     the file and the section: a header written while NetworkSpec had
-    residual and downsample, DistillConfig plain_kd_fallback and
+    blocks, residual and downsample, DistillConfig plain_kd_fallback and
     kd_t_squared, or [data] random_crop and an [edt] section, or with a
     misspelt [teacher], does not resume as the residual net, the GKD term,
     the crop or the decay of today."""
@@ -179,16 +179,17 @@ def test_header_keys_no_record_has_are_refused(run_ckpt, tiny_data, tiny_specs):
         parse_record(SgdConfig, {**format_record(SgdConfig(lr0=0.1)), "nesterov": "true"})
     _reseal(root / "whole.ckpt", body)
     header, tensors = load_checkpoint(root / "whole.ckpt")
-    blocks, gkd, pad = "blocks = 1,1\ninput_channels = 3\n", "gkd_enabled = true\n", "pad = 0\n"
-    assert blocks in header and gkd + "[teacher]" in header and pad in header
+    inch, gkd, pad = "input_channels = 3\n", "gkd_enabled = true\n", "pad = 0\n"
+    assert header.count(inch) == 1 and gkd + "[teacher]" in header and pad in header
     edt = "[edt]\nalpha = 1\nlam = 0.5\nn_decay = 10\n"
     with_edt = header.replace(gkd, gkd + edt)
     crop = "pad = 0\nrandom_crop = false\n"
     for name, head, why in (
-            ("downsample.ckpt",
-             header.replace(blocks, "blocks = 1,1\ndownsample = 0,1\ninput_channels = 3\n"),
+            ("blocks.ckpt", header.replace(inch, "blocks = 1,1\n" + inch),
+             "[arch.model] unknown key 'blocks'"),
+            ("downsample.ckpt", header.replace(inch, "downsample = 0,1\n" + inch),
              "[arch.model] unknown key 'downsample'"),
-            ("plain.ckpt", header.replace(blocks, blocks + "residual = false\n"),
+            ("plain.ckpt", header.replace(inch, inch + "residual = false\n"),
              "[arch.model] unknown key 'residual'"),
             ("plain-kd.ckpt",
              header.replace(gkd, "gkd_enabled = false\nplain_kd_fallback = true\n"),

@@ -78,12 +78,18 @@ def test_imagenet_recipe_preset_values():
     assert cfg.data.batch_size == 256
 
 
-def test_unknown_key_is_named_with_line():
+def test_unknown_key_is_named_with_line(tmp_path):
     text = "[optim]\nlearning_rat = 0.1\n"
     with pytest.raises(ConfigError, match=r"learning_rat"):
         parse_kv_text(text)
     with pytest.raises(ConfigError, match=r":2"):
         parse_kv_text(text)
+    # a stage is one residual block, so the key that set a count per stage is unknown
+    conf = tmp_path / "blocks.conf"
+    conf.write_text("[model.student]\nchannels = 4,8,16\nblocks = 1,1,1\n")
+    why = f"{conf}:3: unknown key 'blocks' in [model.student]"
+    with pytest.raises(ConfigError, match=f"^{re.escape(why)}$"):
+        load_config(path=conf)
 
 
 def test_unknown_section_rejected():
@@ -93,8 +99,8 @@ def test_unknown_section_rejected():
 
 def test_type_violation_is_diagnosed():
     for text, where in (("[optim]\nlr0 = fast\n", "<t>:2: cannot parse lr0"),
-                        ("[model.student]\nchannels = 4,8,16\nblocks = 1,x\n",
-                         "<t>:3: cannot parse blocks"),
+                        ("[model.student]\nchannels = 4,x\n",
+                         "<t>:2: cannot parse channels = '4,x'"),
                         ("[model.student]\nchannels = 4,,8\n",
                          "<t>:2: cannot parse channels = '4,,8': empty item"),
                         ("[schedule]\nfactor = 0.1\nmilestones = 30,\n",
@@ -357,8 +363,8 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
 
 def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, capsys):
     """A checkpoint whose header lacks a section or field, or has a key its
-    record has no field for (as one written while NetworkSpec had residual
-    and downsample, [data] had random_crop and DistillConfig had
+    record has no field for (as one written while NetworkSpec had blocks,
+    residual and downsample, [data] had random_crop and DistillConfig had
     plain_kd_fallback and kd_t_squared), or a section no record reads (as
     [edt] was), or stats that are not finite,
     stds of 0 or other than one mean and one std per input channel, or
@@ -368,10 +374,12 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
     conf, teacher_out, student_out = cli_run
     header, tensors = load_checkpoint(teacher_out / "final.ckpt")
     no_arch = header.replace("[arch.model]", "[arch.other]")
-    arch = "channels = 4,6\nnum_classes = 4\nblocks = 1,1\ninput_channels = 3\n"
+    arch = "channels = 4,6\nnum_classes = 4\ninput_channels = 3\n"
     assert arch in header
     old_format = header.replace(arch, "stages = 1x4,1x6d\nnum_classes = 4\n")
-    older_arch = header.replace(arch, "channels = 4,6\nnum_classes = 4\nblocks = 1,1\n"
+    old_arch = header.replace(arch, "channels = 4,6\nnum_classes = 4\nblocks = 1,1\n"
+                              "input_channels = 3\n")
+    older_arch = header.replace(arch, "channels = 4,6\nnum_classes = 4\n"
                                 "downsample = 0,1\ninput_channels = 3\nresidual = true\n")
     s_header, s_tensors = load_checkpoint(student_out / "final.ckpt")
     edt = "[edt]\nalpha = 1\nlam = 0.5\nn_decay = 2\n"
@@ -406,6 +414,7 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
             ("rows-data.ckpt", rows_data, tensors, missing("'crc'")),
             ("sub-seeds.ckpt", sub_seeds, tensors, missing("'seed'")),
             ("no-fc-b.ckpt", header, short_table, missing("'fc.b'")),
+            ("old-arch.ckpt", old_arch, tensors, "[arch.model] unknown key 'blocks'"),
             ("older-arch.ckpt", older_arch, tensors, "[arch.model] unknown key 'downsample'"),
             ("older-edt.ckpt", older_edt, s_tensors, "unknown section [edt]"),
             ("older-crop.ckpt", older_crop, s_tensors, "[data] unknown key 'random_crop'"),
@@ -432,8 +441,7 @@ def test_cli_eval_refuses_an_image_size_the_checkpoint_cannot_halve(cli_run, tmp
     checkpoint, before the forward pass."""
     conf, teacher_out, _ = cli_run
     header, _ = load_checkpoint(teacher_out / "final.ckpt")
-    deeper = header.replace("channels = 4,6\n", "channels = 4,6,8\n").replace(
-        "blocks = 1,1\n", "blocks = 1,1,1\n")
+    deeper = header.replace("channels = 4,6\n", "channels = 4,6,8\n")
     net = build_network(NetworkSpec(channels=(4, 6, 8), num_classes=4), seed=0)
     ckpt = tmp_path / "deeper.ckpt"
     save_checkpoint(ckpt, deeper, {n: p.data for n, p in net.parameters()})
@@ -468,10 +476,10 @@ def test_cifar_net_too_deep_for_32x32_is_refused_before_any_file(cli_run, tmp_pa
         f"error: {deep}: {why.format('[model.teacher]')}"]
     assert not out.exists()
     header, _ = load_checkpoint(teacher_out / "final.ckpt")
-    seven = "channels = 4,4,4,4,4,4,4\nnum_classes = 10\nblocks = 1,1,1,1,1,1,1\n"
+    seven = "channels = 4,4,4,4,4,4,4\nnum_classes = 10\n"
     net = build_network(NetworkSpec(channels=(4,) * 7, num_classes=10), seed=0)
     ckpt = tmp_path / "deep.ckpt"
-    save_checkpoint(ckpt, header.replace("channels = 4,6\nnum_classes = 4\nblocks = 1,1\n",
+    save_checkpoint(ckpt, header.replace("channels = 4,6\nnum_classes = 4\n",
                                          seven), {n: p.data for n, p in net.parameters()})
     assert main(["eval", "--config", str(cifar), "--ckpt", str(ckpt)]) == 2
     assert capsys.readouterr().err.strip().splitlines() == [

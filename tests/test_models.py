@@ -53,8 +53,6 @@ def test_classifier_width_equals_num_classes():
 def test_spec_validation_errors():
     for kwargs, why in (({"channels": (8,)}, "2 stages"),
                         ({"channels": (0, 4)}, "channels must be >= 1, got 0"),
-                        ({"channels": (4, 8), "blocks": (1, 0)}, "blocks must be >= 1"),
-                        ({"channels": (4, 8), "blocks": (1,)}, "lengths differ"),
                         ({"channels": (4, 8), "num_classes": 1}, "num_classes"),
                         ({"channels": (4, 8), "input_channels": 0}, "input_channels")):
         with pytest.raises(ValueError, match=why):
@@ -165,13 +163,12 @@ def test_paired_specs_have_equal_taps():
 
 
 def test_spec_text_round_trip():
-    spec = NetworkSpec((8, 16, 32), num_classes=11, blocks=(2, 1, 3), input_channels=1)
+    spec = NetworkSpec((8, 16, 32), num_classes=11, input_channels=1)
     text = format_record(spec)
-    assert text == {"channels": "8,16,32", "num_classes": "11", "blocks": "2,1,3",
-                    "input_channels": "1"}
+    assert text == {"channels": "8,16,32", "num_classes": "11", "input_channels": "1"}
     assert parse_record(NetworkSpec, text) == spec
-    default = NetworkSpec([4, 8, 16], num_classes=4)     # one block per stage
-    assert default.blocks == (1, 1, 1)
+    default = NetworkSpec([4, 8, 16], num_classes=4)
+    assert default.channels == (4, 8, 16) and default.input_channels == 3
     assert default == NetworkSpec.from_channels((4, 8, 16), num_classes=4)
     assert parse_record(NetworkSpec, format_record(default)) == default
 
@@ -180,23 +177,22 @@ def test_spec_text_round_trip():
 
 
 def documented_shapes(spec: NetworkSpec) -> dict:
-    """Parameter name -> shape under the README's rules: conv1 is 3x3, or 2x2
-    on the first block (the entry) of each stage after the first; every block
-    adds a 3x3 conv2 and, on its entry, a 2x2 projection, elsewhere a 1x1
-    projection where the width changes; then the [c, classes] classifier and
-    its bias."""
+    """Parameter name -> shape under the README's rules: one block per stage,
+    named s<i>b0; conv1 is 2x2 on each stage after the first and 3x3 on stage
+    0; every block adds a 3x3 conv2 and, after stage 0, a 2x2 projection, on
+    stage 0 a 1x1 projection where the width changes; then the [c, classes]
+    classifier and its bias."""
     shapes = {}
     in_ch = spec.input_channels
-    for si, (c, n) in enumerate(zip(spec.channels, spec.blocks)):
-        for bi in range(n):
-            name, k = f"s{si}b{bi}", 2 if si > 0 and bi == 0 else 3
-            shapes[f"{name}.conv1"] = (c, in_ch, k, k)
-            shapes[f"{name}.conv2"] = (c, c, 3, 3)
-            if k == 2:
-                shapes[f"{name}.proj"] = (c, in_ch, 2, 2)
-            elif in_ch != c:
-                shapes[f"{name}.proj"] = (c, in_ch, 1, 1)
-            in_ch = c
+    for si, c in enumerate(spec.channels):
+        name, k = f"s{si}b0", 2 if si > 0 else 3
+        shapes[f"{name}.conv1"] = (c, in_ch, k, k)
+        shapes[f"{name}.conv2"] = (c, c, 3, 3)
+        if k == 2:
+            shapes[f"{name}.proj"] = (c, in_ch, 2, 2)
+        elif in_ch != c:
+            shapes[f"{name}.proj"] = (c, in_ch, 1, 1)
+        in_ch = c
     shapes["fc.w"], shapes["fc.b"] = (in_ch, spec.num_classes), (spec.num_classes,)
     return shapes
 
@@ -204,32 +200,29 @@ def documented_shapes(spec: NetworkSpec) -> dict:
 def documented_forward(spec: NetworkSpec, params: dict, x: Tensor):
     """(logits, taps) under the README's rules: a 3x3 conv1 has stride 1 and
     pad 1, a 2x2 one stride 2 and pad 0; conv1 -> relu, then conv2 (3x3,
-    pad 1) plus the shortcut (the input, or its projection: 2x2 stride 2 on
-    the entry block, 1x1 on a width change) -> relu. The output of each stage
-    after the first is a tap; the head is GAP then the classifier."""
+    pad 1) plus the shortcut (the input, or its projection: 2x2 stride 2 after
+    stage 0, 1x1 on a width change) -> relu. The output of each stage after
+    the first is a tap; the head is GAP then the classifier."""
     taps = []
     in_ch = spec.input_channels
-    for si, (c, n) in enumerate(zip(spec.channels, spec.blocks)):
-        for bi in range(n):
-            name, entry = f"s{si}b{bi}", si > 0 and bi == 0
-            stride = 2 if entry else 1
-            y = conv2d(x, params[f"{name}.conv1"], stride=stride, padding=0 if entry else 1)
-            y = y.relu()
-            y = conv2d(y, params[f"{name}.conv2"], stride=1, padding=1)
-            if entry or in_ch != c:
-                x = conv2d(x, params[f"{name}.proj"], stride=stride, padding=0)
-            x, in_ch = (y + x).relu(), c
-        if si > 0:
+    for si, c in enumerate(spec.channels):
+        name, entry = f"s{si}b0", si > 0
+        stride = 2 if entry else 1
+        y = conv2d(x, params[f"{name}.conv1"], stride=stride, padding=0 if entry else 1)
+        y = y.relu()
+        y = conv2d(y, params[f"{name}.conv2"], stride=1, padding=1)
+        if entry or in_ch != c:
+            x = conv2d(x, params[f"{name}.proj"], stride=stride, padding=0)
+        x, in_ch = (y + x).relu(), c
+        if entry:
             taps.append(x)
     return add_bias(global_avg_pool(x) @ params["fc.w"], params["fc.b"]), taps
 
 
 @st.composite
 def _specs(draw):
-    n = draw(st.integers(2, 3))
-    per_stage = lambda values: tuple(draw(st.lists(values, min_size=n, max_size=n)))
-    return NetworkSpec(per_stage(st.integers(1, 5)), num_classes=draw(st.integers(2, 4)),
-                       blocks=per_stage(st.integers(1, 3)),
+    channels = draw(st.lists(st.integers(1, 5), min_size=2, max_size=3))
+    return NetworkSpec(channels, num_classes=draw(st.integers(2, 4)),
                        input_channels=draw(st.sampled_from([1, 3])))
 
 

@@ -15,7 +15,7 @@ from cdkd.losses import DistillConfig, cd_loss, channel_weights
 from cdkd.models import NetworkSpec, build_network, forward_with_taps, make_adapter
 from cdkd.optim import EdtParams, LrSchedule, SgdConfig, SgdOptimizer
 from cdkd.seeds import derive, derive_epoch
-from cdkd.tensor import Tensor
+from cdkd.tensor import Tensor, softened_softmax
 from cdkd.train import (CSV_COLUMNS, NonFiniteLossError, Normalization, distill, evaluate,
                         load_model_checkpoint, topk_error, train_teacher)
 
@@ -610,6 +610,10 @@ NAN = float("nan")
     pytest.param(lambda: DistillConfig(temperature=NAN), id="temperature"),
     pytest.param(lambda: DistillConfig(alpha=NAN), id="distill-alpha"),
     pytest.param(lambda: EdtParams(NAN, 0.5, 2), id="edt-alpha"),
+    pytest.param(lambda: EdtParams(1.0, 0.5, NAN), id="edt-n_decay"),
+    pytest.param(lambda: DistillConfig(n_decay=NAN), id="distill-n_decay"),
+    pytest.param(lambda: softened_softmax(Tensor(np.zeros((2, 3))), NAN),
+                 id="softmax-temperature"),
     pytest.param(lambda: SgdConfig(lr0=NAN), id="lr0"),
     pytest.param(lambda: SgdConfig(lr0=0.1, weight_decay=NAN), id="weight_decay"),
     pytest.param(lambda: AugmentConfig(np.zeros(3), [1.0, NAN, 1.0]), id="augment-std"),

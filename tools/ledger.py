@@ -10,6 +10,12 @@ students) holding its name, the SHA-256 of its ``metrics.csv`` less
 ``test_ablation_runs_match_the_ledger`` checks the fixture's runs against it
 on a host with the same fingerprint. A change that moves floats on purpose
 rewrites the ledger in the same commit.
+
+After writing, it prints what the rewrite changed: a line per fingerprint
+key that differs, a line per run whose ``metrics.csv`` or ``final.ckpt``
+digest differs from the ledger it replaced, then the count of each, as
+``21 final.ckpt, 0 metrics.csv`` for a change that moved no float but the
+checkpoint header.
 """
 
 from __future__ import annotations
@@ -65,10 +71,10 @@ def digests(run_dir: Path) -> tuple:
             hashlib.sha256((run_dir / "final.ckpt").read_bytes()).hexdigest())
 
 
-def read(path: Path = LEDGER) -> tuple:
-    """(fingerprint, {run name: digests}) of a ledger file."""
+def parse(text: str) -> tuple:
+    """(fingerprint, {run name: digests}) of a ledger's text."""
     host, runs = {}, {}
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         if line.startswith("#") or not line.strip():
             continue
         if " = " in line:
@@ -78,6 +84,32 @@ def read(path: Path = LEDGER) -> tuple:
             name, csv_sha, ckpt_sha = line.split()
             runs[name] = (csv_sha, ckpt_sha)
     return host, runs
+
+
+def read(path: Path = LEDGER) -> tuple:
+    """(fingerprint, {run name: digests}) of a ledger file."""
+    return parse(path.read_text())
+
+
+def changes(old: str, new: str) -> list:
+    """What rewriting ledger text ``old`` as ``new`` changed, as lines: each
+    fingerprint key that differs, each run whose metrics.csv or final.ckpt
+    digest differs (a run in only one ledger differs in both), then the count
+    of runs whose final.ckpt and whose metrics.csv changed."""
+    (old_host, was), (new_host, now) = parse(old), parse(new)
+    lines = [f"{key}: {old_host.get(key, '(none)')} -> {new_host.get(key, '(none)')}"
+             for key in dict.fromkeys([*old_host, *new_host])
+             if old_host.get(key) != new_host.get(key)]
+    counts, absent = {"final.ckpt": 0, "metrics.csv": 0}, (None, None)
+    for name in dict.fromkeys([*was, *now]):
+        moved = [what for what, a, b in zip(("metrics.csv", "final.ckpt"),
+                                            was.get(name, absent), now.get(name, absent))
+                 if a != b]
+        for what in moved:
+            counts[what] += 1
+        if moved:
+            lines.append(f"{name}: {', '.join(moved)}")
+    return lines + [", ".join(f"{n} {what}" for what, n in counts.items())]
 
 
 def main() -> int:
@@ -94,8 +126,11 @@ def main() -> int:
              "# wall_seconds, SHA-256 of final.ckpt. Written by tools/ledger.py.",
              *(f"{k} = {v}" for k, v in fingerprint().items()),
              *(f"{name} {csv_sha} {ckpt_sha}" for name, (csv_sha, ckpt_sha) in runs.items())]
-    LEDGER.write_text("\n".join(lines) + "\n")
+    old = LEDGER.read_text() if LEDGER.exists() else ""
+    new = "\n".join(lines) + "\n"
+    LEDGER.write_text(new)
     print(f"wrote {LEDGER.relative_to(ROOT)}: {len(runs)} runs")
+    print("\n".join(changes(old, new)))
     return 0
 
 
