@@ -8,7 +8,7 @@ an early-decay teacher schedule, and a deterministic training harness.
 
 from .data import Dataset, load_cifar_binary, make_synthetic
 from .losses import DistillConfig, LossBreakdown, cd_loss, ce_loss, channel_weights, \
-    gkd_loss, kd_loss, total_loss
+    gkd_loss, total_loss
 from .models import NetworkSpec, build_network, forward_with_taps, freeze
 from .optim import EdtParams, LrSchedule, SgdConfig, SgdOptimizer, edt_weight, \
     lr_at_epoch
@@ -21,7 +21,7 @@ __all__ = [
     "Tensor", "backward", "conv2d", "global_avg_pool", "softened_softmax",
     "NetworkSpec", "build_network",
     "forward_with_taps", "freeze",
-    "DistillConfig", "LossBreakdown", "channel_weights", "cd_loss", "kd_loss",
+    "DistillConfig", "LossBreakdown", "channel_weights", "cd_loss",
     "gkd_loss", "ce_loss", "total_loss",
     "SgdConfig", "SgdOptimizer", "LrSchedule", "EdtParams", "lr_at_epoch",
     "edt_weight",

@@ -48,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="run the oracle and finite-difference suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grad-cases", type=int, default=20)
-    p.add_argument("--value-cases", type=int, default=50)
 
     p = sub.add_parser("plot", help="render a metrics CSV as an SVG chart")
     p.add_argument("--csv", required=True)
@@ -139,8 +137,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     from .gradcheck import run_all
-    reports, ok = run_all(seed=args.seed, grad_cases=args.grad_cases,
-                          value_cases=args.value_cases)
+    reports, ok = run_all(seed=args.seed)
     failures = [r for r in reports if not r.passed]
     print(f"gradcheck: {len(reports) - len(failures)}/{len(reports)} cases passed")
     for r in failures:

@@ -16,7 +16,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from . import oracle
-from .losses import DistillConfig, cd_loss, ce_loss, channel_weights, gkd_loss, kd_loss
+from .losses import DistillConfig, cd_loss, ce_loss, channel_weights, gkd_loss
 from .models import NetworkSpec, build_network, freeze, make_adapter
 from .optim import EdtParams, edt_weight
 from .tensor import (Tensor, add_bias, backward, conv2d, global_avg_pool,
@@ -61,10 +61,10 @@ def _grad_report(case_id: str, f: Callable[[Tensor], Tensor], x0: np.ndarray) ->
 # -- value checks against the loop oracles ------------------------------------
 
 
-def value_reports(seed: int = 0, cases: int = 50) -> List[OracleReport]:
+def value_reports(seed: int = 0) -> List[OracleReport]:
     rng = np.random.default_rng(seed)
     reports: List[OracleReport] = []
-    for i in range(cases):
+    for i in range(50):
         a = rng.normal(size=(3, 4)).astype(np.float32)
         b = rng.normal(size=(4, 2)).astype(np.float32)
         reports.append(_report(f"matmul/{i}", (Tensor(a) @ Tensor(b)).data,
@@ -93,8 +93,8 @@ def value_reports(seed: int = 0, cases: int = 50) -> List[OracleReport]:
         s = rng.normal(size=(8, 5)).astype(np.float32) * 3
         t = rng.normal(size=(8, 5)).astype(np.float32) * 3
         temp = float(rng.uniform(1.0, 6.0))
-        reports.append(_report(f"kd/{i}", kd_loss(Tensor(s), Tensor(t), temp).item(),
-                               oracle.oracle_kd(s, t, temp), VALUE_TOL))
+        got_kd = gkd_loss(Tensor(s), Tensor(t), t.argmax(1), temp)[0].item()
+        reports.append(_report(f"kd/{i}", got_kd, oracle.oracle_kd(s, t, temp), VALUE_TOL))
 
         labels = rng.integers(0, 5, size=8)
         got_g, got_n = gkd_loss(Tensor(s), Tensor(t), labels, temp)
@@ -115,10 +115,10 @@ def value_reports(seed: int = 0, cases: int = 50) -> List[OracleReport]:
 # -- per-op and per-loss gradient checks ---------------------------------------
 
 
-def grad_reports(seed: int = 0, cases: int = 20) -> List[OracleReport]:
+def grad_reports(seed: int = 0) -> List[OracleReport]:
     rng = np.random.default_rng(seed)
     reports: List[OracleReport] = []
-    for i in range(cases):
+    for i in range(20):
         x0 = rng.normal(size=(3, 4))
         yt = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
         reports.append(_grad_report(f"grad/add/{i}", lambda t: (t + yt).sum(), x0))
@@ -172,8 +172,9 @@ def grad_reports(seed: int = 0, cases: int = 20) -> List[OracleReport]:
         labels = rng.integers(0, 5, size=4)
         # keep the indicator set non-empty so gkd stays differentiable
         labels[0] = int(np.argmax(t_logits.data[0]))
-        reports.append(_grad_report(f"grad/kd/{i}",
-                                    lambda t: kd_loss(t, t_logits, temp), s0))
+        reports.append(_grad_report(
+            f"grad/kd/{i}", lambda t: gkd_loss(t, t_logits, t_logits.data.argmax(1), temp)[0],
+            s0))
         reports.append(_grad_report(
             f"grad/gkd/{i}", lambda t: gkd_loss(t, t_logits, labels, temp)[0], s0))
         reports.append(_grad_report(f"grad/ce/{i}",
@@ -220,9 +221,8 @@ def composite_grad_reports(seed: int = 0) -> List[OracleReport]:
             for n, x0 in cases + [("adapter0.w", adapter.data)]]
 
 
-def run_all(seed: int = 0, grad_cases: int = 20, value_cases: int = 50
-            ) -> Tuple[List[OracleReport], bool]:
-    reports = value_reports(seed, value_cases)
-    reports += grad_reports(seed, grad_cases)
+def run_all(seed: int = 0) -> Tuple[List[OracleReport], bool]:
+    reports = value_reports(seed)
+    reports += grad_reports(seed)
     reports += composite_grad_reports(seed)
     return reports, all(r.passed for r in reports)

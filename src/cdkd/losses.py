@@ -3,7 +3,8 @@
 Channel distillation compares per-channel global-average-pool weights of
 paired teacher/student feature maps with a mean-squared penalty. Guided
 knowledge distillation is temperature-softened KL, restricted to the
-samples the teacher classifies correctly. The total objective is
+samples the teacher classifies correctly; plain KD is GKD with every row
+right, ``gkd_loss(s, t, t.data.argmax(1), T)``. The total objective is
 
     edt_weight * CD  +  GKD  +  CE
 
@@ -70,43 +71,12 @@ def cd_loss(ws: Tensor, wt: Tensor) -> Tensor:
     return (ws - t).square().mean()
 
 
-def _masked_kl(student_logits: Tensor, teacher_logits: Tensor, mask: np.ndarray,
-               temperature: float) -> Tensor:
-    """sum_i mask_i * KL(p_t^i || p_s^i) / sum(mask), via one fused kernel.
-
-    kd_loss and gkd_loss both route through here (kd is the all-ones mask),
-    so "teacher correct everywhere" collapses gkd to kd bit-for-bit.
-    """
-    denom = float(mask.sum())
-    p_t = softened_softmax(teacher_logits.detach(), temperature).data
-    coef = (mask[:, None] * p_t / denom).astype(np.float32)
-    # teacher entropy side: constant, 0 log 0 := 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(p_t > 0, p_t * np.log(p_t), 0.0)
-    entropy_term = float((mask * plogp.sum(axis=1)).sum() / denom)
-    p_s = softened_softmax(student_logits, temperature)
-    cross = (Tensor(coef) * p_s.log()).sum()
-    return entropy_term - cross
-
-
-def kd_loss(student_logits: Tensor, teacher_logits: Tensor, temperature: float) -> Tensor:
-    """Batch-mean KL between softened teacher and student distributions."""
-    if student_logits.shape != teacher_logits.shape:
-        raise ValueError(f"kd_loss: shape mismatch {student_logits.shape} vs "
-                         f"{teacher_logits.shape}")
-    if not temperature > 0:
-        raise ValueError(f"kd_loss: temperature must be positive, got {temperature}")
-    n = student_logits.shape[0]
-    return _masked_kl(student_logits, teacher_logits,
-                      np.ones(n, dtype=np.float64), temperature)
-
-
 def gkd_loss(student_logits: Tensor, teacher_logits: Tensor, labels, temperature: float):
-    """KD restricted to teacher-correct samples.
+    """KD restricted to teacher-correct samples, by one fused kernel; KD itself
+    is the case where ``labels`` are the teacher's argmax, so every row is right.
 
     Returns (loss, correct_count). With no correct samples the indicator
-    denominator vanishes, so the loss is defined as a constant 0 and no
-    gradient flows.
+    denominator vanishes, so the loss is a constant 0-d zero and no gradient flows.
     """
     if student_logits.shape != teacher_logits.shape:
         raise ValueError(f"gkd_loss: shape mismatch {student_logits.shape} vs "
@@ -122,7 +92,15 @@ def gkd_loss(student_logits: Tensor, teacher_logits: Tensor, labels, temperature
     count = int(mask.sum())
     if count == 0:
         return Tensor(0.0), 0
-    return _masked_kl(student_logits, teacher_logits, mask, temperature), count
+    p_t = softened_softmax(teacher_logits.detach(), temperature).data
+    coef = (mask[:, None] * p_t / count).astype(np.float32)
+    # teacher entropy side: constant, 0 log 0 := 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(p_t > 0, p_t * np.log(p_t), 0.0)
+    entropy_term = float((mask * plogp.sum(axis=1)).sum() / count)
+    p_s = softened_softmax(student_logits, temperature)
+    cross = (Tensor(coef) * p_s.log()).sum()
+    return entropy_term - cross, count
 
 
 def ce_loss(student_logits: Tensor, labels) -> Tensor:

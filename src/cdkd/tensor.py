@@ -11,8 +11,9 @@ Numeric contract:
     finite-difference oracle can evaluate in wider precision);
   * ``log`` clamps its input at ``LOG_EPS`` = 1e-12;
   * relu'(0) = 0;
-  * broadcasting is limited to scalar-with-tensor, any other shape
-    mismatch raises ``ShapeError``.
+  * ``Tensor(x)`` keeps ``x``'s rank, so a scalar makes a 0-d tensor;
+  * a Python number broadcasts against a tensor; tensor operands must
+    have equal shapes, any mismatch raises ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class Tensor:
         if isinstance(data, Tensor):
             raise TypeError("Tensor(data): data is already a Tensor")
         arr = np.asarray(data)
-        self.data = np.ascontiguousarray(
-            arr, dtype=arr.dtype if arr.dtype == np.float64 else np.float32)
+        self.data = np.asarray(
+            arr, dtype=arr.dtype if arr.dtype == np.float64 else np.float32, order="C")
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self.node_id = next(_node_counter)
@@ -110,10 +111,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of {self.data.size} elements")
@@ -136,9 +133,9 @@ class Tensor:
     # -- elementwise arithmetic -------------------------------------------
 
     def _coerce(self, other, op: str):
-        """Return (array, tensor_or_none). Scalars broadcast; shapes must else match."""
+        """Return (array, tensor_or_none). A number broadcasts; a tensor's shape must match."""
         if isinstance(other, Tensor):
-            if other.shape != self.shape and other.size != 1 and self.size != 1:
+            if other.shape != self.shape:
                 raise _mismatch(op, self.shape, other.shape)
             return other.data, other
         if isinstance(other, (int, float, np.floating, np.integer)):
@@ -149,9 +146,9 @@ class Tensor:
         od, ot = self._coerce(other, "add")
         def vjp(g, a=self, b=ot):
             if a.requires_grad:
-                a._accum(_unbroadcast(g, a.shape))
+                a._accum(g)
             if b is not None and b.requires_grad:
-                b._accum(_unbroadcast(g, b.shape))
+                b._accum(g)
         return Tensor._from_op(self.data + od, _operands(self, ot), vjp)
 
     __radd__ = __add__
@@ -160,9 +157,9 @@ class Tensor:
         od, ot = self._coerce(other, "sub")
         def vjp(g, a=self, b=ot):
             if a.requires_grad:
-                a._accum(_unbroadcast(g, a.shape))
+                a._accum(g)
             if b is not None and b.requires_grad:
-                b._accum(_unbroadcast(-g, b.shape))
+                b._accum(-g)
         return Tensor._from_op(self.data - od, _operands(self, ot), vjp)
 
     def __rsub__(self, other) -> "Tensor":
@@ -175,9 +172,9 @@ class Tensor:
         od, ot = self._coerce(other, "mul")
         def vjp(g, a=self, b=ot, bd=od):
             if a.requires_grad:
-                a._accum(_unbroadcast(g * bd, a.shape))
+                a._accum(g * bd)
             if b is not None and b.requires_grad:
-                b._accum(_unbroadcast(g * a.data, b.shape))
+                b._accum(g * a.data)
         return Tensor._from_op(self.data * od, _operands(self, ot), vjp)
 
     __rmul__ = __mul__
@@ -238,12 +235,6 @@ class Tensor:
 
 def _operands(a: Tensor, b: Optional[Tensor]) -> tuple:
     return (a,) if b is None else (a, b)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Gradient for an operand of ``shape``: g itself, or summed when the
-    operand was a size-1 tensor broadcast against a larger one."""
-    return g if g.shape == shape else g.sum().reshape(shape)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:

@@ -50,6 +50,13 @@ class TrainState:
     seed: int = 0                        # the run's root seed; each stream derives from it
     best_val_top1: float = float("inf")
 
+    def __post_init__(self):
+        for key in ("epoch", "global_step"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if np.isnan(self.best_val_top1):        # inf, a fresh run's value, is allowed
+            raise ValueError("best_val_top1 must not be nan")
+
 
 @dataclass
 class Metrics:

@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cdkd import oracle
 from cdkd.checkpoint import load_checkpoint, save_checkpoint
-from cdkd.data import DataFormatError, load_cifar_binary, make_synthetic
-from cdkd.gradcheck import composite_grad_reports, grad_reports, value_reports
-from cdkd.losses import (DistillConfig, cd_loss, gkd_loss,
-                         kd_loss)
+from cdkd.data import (AugmentConfig, DataFormatError, channel_stats, load_cifar_binary,
+                       make_synthetic)
+from cdkd.gradcheck import VALUE_TOL, composite_grad_reports, grad_reports, value_reports
+from cdkd.losses import DistillConfig, cd_loss, gkd_loss
 from cdkd.models import NetworkSpec
 from cdkd.optim import EdtParams, LrSchedule, SgdConfig, edt_weight
 from cdkd.tensor import Tensor, backward
@@ -102,9 +103,20 @@ def ablation(tmp_path_factory):
             run_dirs[(name, seed)] = out
         errors[name] = errs
     wall = time.perf_counter() - t0
+
+    # two probes, outside the gates, of the paths the rows never take: batch 48
+    # leaves a 16-row short train batch and a 32-row short val batch, and under
+    # the crop and flip the teacher runs live on every batch
+    probe_spec = NetworkSpec((6, 12, 24), num_classes=N_CLASSES)
+    crop_flip = AugmentConfig(*channel_stats(train), pad=2, hflip_prob=0.5)
+    probe_dirs = [root / "probe-crop-flip", root / "probe-no-aug"]
+    row = ROWS["CD+GKD+EDT"]
+    for out, aug in zip(probe_dirs, (crop_flip, None)):
+        distill(teacher.best_ckpt, probe_spec, train, val, row["cfg"], SGD, STUDENT_SCHED,
+                row["edt"], epochs=2, seed=0, out_dir=out, batch_size=48, aug_cfg=aug)
     return dict(root=root, train=train, val=val, teacher=teacher,
                 student_spec=student_spec, errors=errors, run_dirs=run_dirs,
-                wall=wall)
+                probe_dirs=probe_dirs, wall=wall)
 
 
 # -- criteria ------------------------------------------------------------------
@@ -128,7 +140,8 @@ def test_criterion_1_loss_identities(tiny_data, tiny_specs, tmp_path):
         s_rand = Tensor((rng.normal(size=(6, 5)) * 2).astype(np.float32))
         g, n_corr = gkd_loss(s_rand, t_rand, labels, TEMP)
         assert n_corr == 6
-        assert g.item() == kd_loss(s_rand, t_rand, TEMP).item()
+        assert g.item() == pytest.approx(oracle.oracle_kd(s_rand.data, t_rand.data, TEMP),
+                                         rel=VALUE_TOL)
 
         for alpha in (0.0, 0.5, 2.0):
             assert edt_weight(EdtParams(alpha, 0.5, 7), 0) == alpha
@@ -153,7 +166,7 @@ def test_criterion_1_loss_identities(tiny_data, tiny_specs, tmp_path):
 def test_criterion_2_gradient_checks():
     with criterion(2, "gradient checks vs central finite differences (rel <= 1e-3)"):
         t0 = time.perf_counter()
-        reports = grad_reports(seed=0, cases=20)
+        reports = grad_reports(seed=0)
         reports += composite_grad_reports(seed=0) + composite_grad_reports(seed=1)
         failures = [r for r in reports if not r.passed]
         assert not failures, failures[:5]
@@ -167,7 +180,7 @@ def test_criterion_2_gradient_checks():
 def test_criterion_3_oracle_equivalence():
     with criterion(3, "engine matches loop oracles on 50 random cases per op"):
         t0 = time.perf_counter()
-        reports = value_reports(seed=0, cases=50)
+        reports = value_reports(seed=0)
         failures = [r for r in reports if not r.passed]
         assert not failures, failures[:5]
         assert max(r.max_rel_diff for r in reports) <= 1e-5
@@ -212,15 +225,16 @@ def test_criterion_5_desk_scale_ablation(ablation):
 
 
 def test_ablation_runs_match_the_ledger(ablation):
-    """The teacher's and every student's metrics.csv (less wall_seconds) and
-    final.ckpt hash as tests/ablation.ledger records; skipped, naming the
-    difference, on a host whose Python, numpy or BLAS is not the ledger's."""
+    """The teacher's, every student's and each probe's metrics.csv (less
+    wall_seconds) and final.ckpt hash as tests/ablation.ledger records; skipped,
+    naming the difference, on a host whose Python, numpy or BLAS is not the ledger's."""
     host, runs = ledger.read()
     here = ledger.fingerprint()
     if here != host:
         pytest.skip("host is not the ledger's: " + "; ".join(
             f"{k} {here.get(k)} != {v}" for k, v in host.items() if here.get(k) != v))
-    dirs = [ablation["root"] / "teacher", *ablation["run_dirs"].values()]
+    dirs = [ablation["root"] / "teacher", *ablation["run_dirs"].values(),
+            *ablation["probe_dirs"]]
     got = {d.name: ledger.digests(d) for d in dirs}
     assert [n for n in sorted(got.keys() | runs.keys()) if got.get(n) != runs.get(n)] == []
 

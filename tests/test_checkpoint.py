@@ -212,6 +212,36 @@ def test_header_keys_no_record_has_are_refused(run_ckpt, tiny_data, tiny_specs):
                     batch_size=32, resume_from=path)
 
 
+def test_state_values_no_run_writes_are_refused(run_ckpt, tiny_data, tiny_specs):
+    """A CRC-valid header whose [state] has a negative epoch or global_step,
+    or a NaN best_val_top1, is refused on resume naming the file and the
+    section, before the out-dir is made; inf, a fresh run's best, is read back."""
+    root, body = run_ckpt
+    train, val = tiny_data
+    _reseal(root / "whole.ckpt", body)
+    header, tensors = load_checkpoint(root / "whole.ckpt")
+    state = header[header.index("[state]"):]
+    for key, value in (("epoch", "1"), ("global_step", "3")):
+        assert f"\n{key} = {value}\n" in state
+    assert re.search(r"\nbest_val_top1 = [\d.]+\n", state)
+    for key, value, why in (("epoch", -2, "epoch must be >= 0, got -2"),
+                            ("global_step", -1, "global_step must be >= 0, got -1"),
+                            ("best_val_top1", "nan", "best_val_top1 must not be nan")):
+        head = header.replace(state, re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", state))
+        path, out = root / f"state-{key}.ckpt", root / f"resumed-{key}"
+        save_checkpoint(path, head, tensors)
+        with pytest.raises(CheckpointError,
+                           match=f"^{re.escape(f'{path}: [state] {why}')}$"):
+            distill(root / "teacher" / "final.ckpt", tiny_specs[1], train, val,
+                    DistillConfig(), SgdConfig(lr0=0.05), LrSchedule((10,), 0.1),
+                    EdtParams(1.0, 0.5, 10), epochs=2, seed=2, out_dir=out,
+                    batch_size=32, resume_from=path)
+        assert not out.exists()
+    fresh = format_record(TrainState(seed=2))
+    assert fresh["best_val_top1"] == "inf"
+    assert parse_record(TrainState, fresh) == TrainState(seed=2)
+
+
 def test_a_model_load_checks_every_shape_before_it_allocates(run_ckpt):
     """A header that claims a 2000-wide last stage over the file's 12-wide
     tensors is refused naming the first tensor that differs, and nothing of

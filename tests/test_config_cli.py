@@ -289,7 +289,7 @@ def test_cli_plot_emits_svg_with_per_epoch_ticks(cli_run, tmp_path):
 
 
 def test_cli_gradcheck_exit_zero():
-    assert main(["gradcheck", "--grad-cases", "2", "--value-cases", "3"]) == 0
+    assert main(["gradcheck"]) == 0
 
 
 def test_cli_distill_is_byte_deterministic(cli_run, tmp_path):
@@ -366,7 +366,8 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
     record has no field for (as one written while NetworkSpec had blocks,
     residual and downsample, [data] had random_crop and DistillConfig had
     plain_kd_fallback and kd_t_squared), or a section no record reads (as
-    [edt] was), or stats that are not finite,
+    [edt] was), or a [state] no run writes (a negative epoch or global_step,
+    a NaN best_val_top1), or stats that are not finite,
     stds of 0 or other than one mean and one std per input channel, or
     whose tensor table lacks a parameter, is one error line naming the
     file: not a divide-by-zero warning or an error rate over broadcast
@@ -402,6 +403,10 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
         stats.sub(f"means = {m}\nstds = {s}", header)
         for m, s in (("nan,0,0", "1,1,1"), ("0,0,0", "0,0,0"), ("0.5", "0.25"),
                      ("0.5,0.5,0.5", "0.25,0.25")))
+    neg_epoch, neg_step, nan_best = (re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", header)
+                                     for key, value in (("epoch", -2), ("global_step", -1),
+                                                        ("best_val_top1", "nan")))
+    assert header not in (neg_epoch, neg_step, nan_best)
     counts = "[normalize] has {} means and {} stds, [arch.model] input_channels = 3".format
     bad_stats = "[normalize] stats must be finite, stds > 0: got {}".format
     short_table = dict(tensors)
@@ -425,7 +430,10 @@ def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, 
             ("zero-stds.ckpt", zero_stds, tensors,
              bad_stats("(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)")),
             ("one-mean.ckpt", one_mean, tensors, counts(1, 1)),
-            ("two-stds.ckpt", two_stds, tensors, counts(3, 2))):
+            ("two-stds.ckpt", two_stds, tensors, counts(3, 2)),
+            ("neg-epoch.ckpt", neg_epoch, tensors, "[state] epoch must be >= 0, got -2"),
+            ("neg-step.ckpt", neg_step, tensors, "[state] global_step must be >= 0, got -1"),
+            ("nan-best.ckpt", nan_best, tensors, "[state] best_val_top1 must not be nan")):
         path = tmp_path / name
         save_checkpoint(path, head, table)     # CRC-valid, contents incomplete
         capsys.readouterr()

@@ -8,7 +8,7 @@ from cdkd.tensor import Tensor, backward, conv2d, global_avg_pool
 
 
 def test_every_op_and_loss_matches_finite_differences():
-    reports = grad_reports(seed=0, cases=20)
+    reports = grad_reports(seed=0)
     ops = {r.case_id.split("/")[1] for r in reports}
     assert {"add", "sub", "mul", "scalar-mul", "square-mean", "relu", "log",
             "matmul", "add_bias", "conv2d-input", "conv2d-kernel",

@@ -211,10 +211,18 @@ def test_broadcast_limited_to_scalar():
     x = Tensor(np.zeros((2, 3), dtype=np.float32))
     with pytest.raises(ShapeError, match="mismatch"):
         x + Tensor(np.zeros(3, dtype=np.float32))
-    # scalar-with-tensor is the one allowed broadcast
-    out = x + Tensor(5.0)
-    assert np.all(out.data == 5.0)
+    # a Python number is the one operand that broadcasts
+    out = x + 5.0
+    assert np.all(out.data == 5.0) and out.shape == (2, 3)
     assert (x * 2.0).shape == (2, 3)
+    # a tensor keeps its data's rank, and a size-1 tensor is no scalar
+    assert Tensor(5.0).shape == ()
+    for one in (Tensor(5.0), Tensor(np.ones(1, dtype=np.float32))):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(ShapeError, match="rank mismatch"):
+                op(x, one)
+            with pytest.raises(ShapeError, match="rank mismatch"):
+                op(one, x)
 
 
 def test_add_bias_semantics_and_grad():

@@ -11,13 +11,14 @@ from cdkd.checkpoint import load_checkpoint, save_checkpoint
 from cdkd.data import (AugmentConfig, Dataset, channel_stats, iterate_batches,
                        make_synthetic)
 from cdkd.kvtext import format_value
-from cdkd.losses import DistillConfig, cd_loss, channel_weights
-from cdkd.models import NetworkSpec, build_network, forward_with_taps, make_adapter
+from cdkd.losses import DistillConfig, cd_loss, channel_weights, gkd_loss
+from cdkd.models import NetworkSpec, build_network, forward_with_taps, freeze, make_adapter
 from cdkd.optim import EdtParams, LrSchedule, SgdConfig, SgdOptimizer
 from cdkd.seeds import derive, derive_epoch
-from cdkd.tensor import Tensor, softened_softmax
-from cdkd.train import (CSV_COLUMNS, NonFiniteLossError, Normalization, distill, evaluate,
-                        load_model_checkpoint, topk_error, train_teacher)
+from cdkd.tensor import Tensor, backward, softened_softmax
+from cdkd.train import (CSV_COLUMNS, NonFiniteLossError, Normalization, batch_objective,
+                        distill, evaluate, load_model_checkpoint, teacher_targets, topk_error,
+                        train_teacher)
 
 SGD = SgdConfig(lr0=0.05, momentum=0.9, weight_decay=1e-4)
 SCHED = LrSchedule(milestones=(50,), factor=0.1)
@@ -205,6 +206,28 @@ def test_identical_teacher_student_cd_is_zero_at_step_zero(tiny_data, tiny_specs
     for a, ta, tb in zip(adapters, taps_a, taps_b):
         assert a is None
         assert cd_loss(channel_weights(ta), channel_weights(tb)).item() == 0.0
+
+
+def test_a_batch_the_teacher_gets_wholly_wrong_keeps_every_scalar_0d(tiny_data, tiny_specs):
+    """A tensor keeps its data's rank, so where the teacher is right on no row
+    GKD is a 0-d zero with count 0, and the batch objective stays 0-d."""
+    assert Tensor(0.0).shape == () and Tensor(np.float32(2.1)).shape == ()
+    train, _ = tiny_data
+    teacher_spec, student_spec = tiny_specs
+    teacher = freeze(build_network(teacher_spec, seed=4))
+    student = build_network(student_spec, seed=5)
+    x = Tensor(train.images[:8])
+    t_logits, *t_gaps = teacher_targets(teacher, x)
+    wrong = (t_logits.data.argmax(1) + 1) % teacher_spec.num_classes
+    gkd, count = gkd_loss(forward_with_taps(student, x)[0], t_logits, wrong, 4.0)
+    assert gkd.shape == () and gkd.item() == 0.0 and count == 0
+    adapters = [make_adapter(cs, ct, np.random.default_rng(0))
+                for cs, ct in zip(student_spec.tap_channels, teacher_spec.tap_channels)]
+    bd, count, _, _ = batch_objective(student, adapters, x, wrong, t_logits, t_gaps,
+                                      DistillConfig(), 1.0)
+    assert count == 0 and bd.gkd == 0.0 and bd.objective.shape == ()
+    backward(bd.objective)
+    assert all(p.grad.shape == p.shape for _, p in student.trainable_parameters())
 
 
 def test_distill_keeps_teacher_frozen_and_moves_student(tiny_data, tiny_specs, tmp_path):
