@@ -266,8 +266,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     slice copies ``cols[..., i, j] = xp[:, i::s, j::s, :]`` from a channels-last
     view of the input (zero-padded into a fresh NHWC buffer only if padding > 0).
     The output is the NCHW view of the GEMM's NHWC rows; the backward pass reuses
-    ``cols`` for the kernel gradient, drops it, and adds the input gradient columns
-    back in the same (i, j) order into an NHWC buffer, so neither copies to NCHW.
+    ``cols`` for the kernel gradient and drops it. The input gradient is built in
+    NHWC memory: a kernel that tiles the input (stride == kh == kw, no padding)
+    makes one GEMM and one transposing copy, each pixel taking exactly one tap;
+    any other adds ``g_flat @ taps[i, j]`` per tap, in (i, j) order, into zeros.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d: expects 4-D input and kernel, got {x.shape} and {kernel.shape}")
@@ -310,15 +312,20 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         g_flat = g.transpose(0, 2, 3, 1).reshape(n * h_out * w_out, c_out)
         if k.requires_grad:
             k._accum((g_flat.T @ held[0]).reshape(k.shape))
-        held.clear()                 # cols: freed before gc allocates
+        held.clear()                 # cols: freed before the input gradient allocates
         if a.requires_grad:
-            gc = (g_flat @ wmat).reshape(n, h_out, w_out, c_in, kh, kw)
-            gxp = np.zeros((n, h + 2 * pad, w + 2 * pad, c_in), g.dtype)
-            for b in _batch_chunks(n, gc[0].size):
+            if s == kh == kw and not pad:        # the windows tile the input: one tap a pixel
+                gc = (g_flat @ wmat).reshape(n, h_out, w_out, c_in, kh, kw)
+                gx = np.ascontiguousarray(gc.transpose(0, 1, 4, 2, 5, 3)).reshape(n, h, w, c_in)
+            else:
+                taps = wmat.reshape(c_out, c_in, kh, kw).transpose(2, 3, 0, 1).copy()
+                gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c_in), g.dtype)
                 for i in range(kh):
                     for j in range(kw):
-                        gxp[b, i:i + h_out * s:s, j:j + w_out * s:s] += gc[b, ..., i, j]
-            a._accum(gxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2))
+                        gx[:, i:i + h_out * s:s, j:j + w_out * s:s] += (
+                            g_flat @ taps[i, j]).reshape(n, h_out, w_out, c_in)
+                gx = gx[:, pad:pad + h, pad:pad + w]
+            a._accum(gx.transpose(0, 3, 1, 2))
 
     return Tensor._from_op(out_data, (x, kernel), vjp)
 
@@ -332,7 +339,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ShapeError(f"global_avg_pool: empty spatial extent {h}x{w}")
     inv = 1.0 / (h * w)
     def vjp(g, a=x, inv=inv):
-        a._accum(np.broadcast_to((g * inv)[:, :, None, None], a.shape))
+        # filled channels-last, so the conv below takes its gradient as a view
+        gx = np.broadcast_to((g * inv)[:, None, None, :], (n, h, w, c)).copy()
+        a._accum(gx.transpose(0, 3, 1, 2))
     # the mean runs over NCHW memory: over channels-last it sums in another order
     return Tensor._from_op(np.ascontiguousarray(x.data).mean(axis=(2, 3)), (x,), vjp)
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from cdkd import oracle
+from cdkd import train as train_module
 from cdkd.checkpoint import load_checkpoint, save_checkpoint
 from cdkd.data import (AugmentConfig, DataFormatError, channel_stats, load_cifar_binary,
                        make_synthetic)
@@ -114,9 +115,30 @@ def ablation(tmp_path_factory):
     for out, aug in zip(probe_dirs, (crop_flip, None)):
         distill(teacher.best_ckpt, probe_spec, train, val, row["cfg"], SGD, STUDENT_SCHED,
                 row["edt"], epochs=2, seed=0, out_dir=out, batch_size=48, aug_cfg=aug)
+
+    # a third probe, of a teacher too weak to be right on every batch: a 1-epoch
+    # 4-8 teacher and a CD+GKD 3-6 student at batch 8, where GKD meets batches
+    # with no teacher-correct row; each step's teacher-correct count is kept
+    weak_train = make_synthetic(4, 25, 8, seed=7, split="train")
+    weak_val = make_synthetic(4, 25, 8, seed=7, split="val")
+    weak_teacher = train_teacher(NetworkSpec((4, 8), num_classes=4), weak_train, weak_val,
+                                 SGD, TEACHER_SCHED, epochs=1, seed=1,
+                                 out_dir=root / "probe-weak-teacher", batch_size=8)
+    weak_counts = []
+    def counting(*args, objective=train_module.batch_objective):
+        out = objective(*args)
+        weak_counts.append(out[1])
+        return out
+    row = ROWS["CD+GKD"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train_module, "batch_objective", counting)
+        distill(weak_teacher.best_ckpt, NetworkSpec((3, 6), num_classes=4), weak_train,
+                weak_val, row["cfg"], SGD, STUDENT_SCHED, row["edt"], epochs=3, seed=3,
+                out_dir=root / "probe-weak-cd-gkd", batch_size=8)
+    probe_dirs += [root / "probe-weak-teacher", root / "probe-weak-cd-gkd"]
     return dict(root=root, train=train, val=val, teacher=teacher,
                 student_spec=student_spec, errors=errors, run_dirs=run_dirs,
-                probe_dirs=probe_dirs, wall=wall)
+                probe_dirs=probe_dirs, weak_counts=weak_counts, wall=wall)
 
 
 # -- criteria ------------------------------------------------------------------
@@ -237,6 +259,15 @@ def test_ablation_runs_match_the_ledger(ablation):
             *ablation["probe_dirs"]]
     got = {d.name: ledger.digests(d) for d in dirs}
     assert [n for n in sorted(got.keys() | runs.keys()) if got.get(n) != runs.get(n)] == []
+
+
+def test_weak_teacher_probe_meets_batches_with_no_teacher_correct_row(ablation):
+    """The ledger's weak-teacher probe takes GKD's empty-mask path: of its 39
+    steps (13 batches of 8 rows or fewer, 3 epochs) some have a teacher right
+    on no row, and some on a few."""
+    counts = ablation["weak_counts"]
+    assert len(counts) == 39
+    assert 0 in counts and max(counts) > 0
 
 
 def test_criterion_6_edt_schedule_in_logs(ablation):

@@ -356,20 +356,43 @@ def _im2col_conv_reference(x, k, stride, padding, g):
     return out, gxp[:, :, padding:padding + h, padding:padding + w], k_grad
 
 
-# (batch, c_in, c_out, size, kernel, stride, padding): every conv of the model
-# family at the bench's 16x16 inputs (batch 32 training, batch 256 eval), the
-# 1x1 adapters of both distill students, and two shapes the model never uses
+# (batch, c_in, c_out, size, kernel, stride, padding): every conv of the
+# bench's three nets at 16x16 inputs and batch 32 (teacher 12-24-48, students
+# 4-8-16 and 6-12-24, with both students' 1x1 adapters), batch 256 eval, the
+# ledger probe's full and short batches (48 and 16 rows) and two shapes the
+# model never uses. The input gradient takes one path for a kernel that tiles
+# its input (stride = kernel, no padding) and per-tap GEMMs for the others.
 _CONV_CASES = {
     "stem-3x3-s1-p1": (32, 3, 12, 16, 3, 1, 1),
+    "stem-3x3-s1-p1-3to4@16": (32, 3, 4, 16, 3, 1, 1),
+    "stem-3x3-s1-p1-3to6@16": (32, 3, 6, 16, 3, 1, 1),
     "3x3-s1-p1-12@16": (32, 12, 12, 16, 3, 1, 1),
+    "3x3-s1-p1-24@8": (32, 24, 24, 8, 3, 1, 1),
     "3x3-s1-p1-48@4": (32, 48, 48, 4, 3, 1, 1),
+    "3x3-s1-p1-4@16": (32, 4, 4, 16, 3, 1, 1),
+    "3x3-s1-p1-8@8": (32, 8, 8, 8, 3, 1, 1),
+    "3x3-s1-p1-16@4": (32, 16, 16, 4, 3, 1, 1),
+    "3x3-s1-p1-6@16": (32, 6, 6, 16, 3, 1, 1),
+    "3x3-s1-p1-12@8": (32, 12, 12, 8, 3, 1, 1),
+    "3x3-s1-p1-24@4": (32, 24, 24, 4, 3, 1, 1),
     "2x2-s2-p0-12to24@16": (32, 12, 24, 16, 2, 2, 0),
     "2x2-s2-p0-24to48@8": (32, 24, 48, 8, 2, 2, 0),
+    "2x2-s2-p0-4to8@16": (32, 4, 8, 16, 2, 2, 0),
+    "2x2-s2-p0-8to16@8": (32, 8, 16, 8, 2, 2, 0),
+    "2x2-s2-p0-6to12@16": (32, 6, 12, 16, 2, 2, 0),
+    "2x2-s2-p0-12to24@8": (32, 12, 24, 8, 2, 2, 0),
     "proj-1x1-3to12@16": (32, 3, 12, 16, 1, 1, 0),
+    "proj-1x1-3to4@16": (32, 3, 4, 16, 1, 1, 0),
+    "proj-1x1-3to6@16": (32, 3, 6, 16, 1, 1, 0),
     "adapter-1x1-8to24@8": (32, 8, 24, 8, 1, 1, 0),
     "adapter-1x1-24to48@4": (32, 24, 48, 4, 1, 1, 0),
+    "adapter-1x1-12to24@8": (32, 12, 24, 8, 1, 1, 0),
     "eval-3x3-s1-p1-12@16": (256, 12, 12, 16, 3, 1, 1),
     "eval-2x2-s2-p0-12to24@16": (256, 12, 24, 16, 2, 2, 0),
+    "b48-3x3-s1-p1-6@16": (48, 6, 6, 16, 3, 1, 1),
+    "b16-3x3-s1-p1-6@16": (16, 6, 6, 16, 3, 1, 1),
+    "b48-2x2-s2-p0-6to12@16": (48, 6, 12, 16, 2, 2, 0),
+    "b16-2x2-s2-p0-6to12@16": (16, 6, 12, 16, 2, 2, 0),
     "odd-3x3-s2-p1": (5, 3, 4, 9, 3, 2, 1),
     "odd-5x5-s1-p2": (3, 2, 3, 7, 5, 1, 2),
 }
@@ -387,6 +410,10 @@ def test_conv_is_bit_identical_to_im2col_reference(case, dtype):
     g = rng.normal(size=out.shape).astype(dtype)
     g[rng.random(out.shape) < 0.3] = 0.0
     g[rng.random(out.shape) < 0.1] = -0.0
+    # and whole pixels whose every channel is +0 or -0, as a relu that shuts a
+    # pixel makes: a tiling kernel copies their input gradient, not 0 + v
+    zeros = np.where(rng.random(out.shape) < 0.5, -0.0, 0.0).astype(dtype)
+    g = np.where(rng.random((n, 1) + out.shape[2:]) < 0.2, zeros, g)
     backward((out * Tensor(g)).sum())
     want = _im2col_conv_reference(x.data, k.data, stride, padding, g)
     for got, ref in zip((out.data, x.grad, k.grad), want):
@@ -441,6 +468,14 @@ def test_relu_conv_chain_gradients_keep_channels_last_memory():
     backward(global_avg_pool(conv2d(conv2d(x, k1, padding=1).relu(), k2, padding=1)).sum())
     assert _channels_last(x.grad)
     assert k1.grad.flags.c_contiguous and k2.grad.flags.c_contiguous
+    # a pooled conv output, straight (a CD adapter) or through relu (the last
+    # block): the gradient the pool hands back is channels-last too, so the
+    # conv's vjp reads it as a view
+    for through_relu in (False, True):
+        h = conv2d(x, k1, padding=1).detach()
+        h.requires_grad = True
+        backward(global_avg_pool(h.relu() if through_relu else h).sum())
+        assert _channels_last(h.grad)
 
 
 def test_blas_runs_on_the_calling_thread_only():

@@ -5,8 +5,9 @@
 Runs the acceptance ablation (``test_criterion_5_desk_scale_ablation``, about
 80 s) in a temporary directory and writes ``tests/ablation.ledger``: this
 host's fingerprint, then one line per run (the teacher, the twenty students
-and the fixture's two probe runs) holding its name, the SHA-256 of its
-``metrics.csv`` less ``wall_seconds`` and the SHA-256 of its ``final.ckpt``.
+and the fixture's probe runs, a weak teacher among them) holding its name,
+the SHA-256 of its ``metrics.csv`` less ``wall_seconds`` and the SHA-256 of
+its ``final.ckpt``.
 ``test_ablation_runs_match_the_ledger`` checks the fixture's runs against it
 on a host with the same fingerprint. A change that moves floats on purpose
 rewrites the ledger in the same commit.
