@@ -9,13 +9,15 @@ written.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, check_image_size, load_config, load_dataset, snapshot_text
 from .data import AugmentConfig, channel_stats
-from .optim import EdtParams
+from .models import param_shapes
 from .plotting import write_metrics_svg
 from .train import distill, evaluate, load_model_checkpoint, train_teacher
 
@@ -74,20 +76,28 @@ def _load_split(args, data, split: str):
                           f"does not fit in memory") from None
 
 
-def _prepare(args, need_model: str):
+def _prepare(args, role: str):
+    """Config, ``[model.<role>]`` spec, splits and augmentation, then the
+    out-dir: a missing section, or a spec whose float32 parameters alone
+    exceed the host's memory, is refused before it, naming the file."""
     cfg = load_config(path=args.config, preset=args.preset, seed=args.seed,
                       out_dir=args.out_dir)
-    model = getattr(cfg, need_model)
-    if model is None:
-        raise ConfigError(f"missing [model.{need_model}] section")
+    for section in (f"model.{role}",) + (("distill",) if role == "student" else ()):
+        if getattr(cfg, section.split(".")[-1]) is None:
+            raise ConfigError(f"{_origin(args)}: missing [{section}] section")
     train_ds, val_ds = (_load_split(args, cfg.data, split) for split in ("train", "val"))
+    spec = replace(getattr(cfg, role), input_channels=train_ds.images.shape[1])
+    nbytes = 4 * sum(math.prod(s) for s in param_shapes(spec).values())
+    if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(f"{_origin(args)}: [model.{role}] channels = "
+                          f"{','.join(map(str, spec.channels))} needs {nbytes} bytes of "
+                          f"float32 parameters, more than the host has")
     means, stds = channel_stats(train_ds)
     aug = AugmentConfig(channel_means=means, channel_stds=stds, pad=cfg.data.pad,
                         hflip_prob=cfg.data.hflip_prob)
     out_dir = Path(cfg.run.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(snapshot_text(cfg._sections))
-    spec = replace(model, input_channels=train_ds.images.shape[1])
     return cfg, spec, train_ds, val_ds, aug, out_dir
 
 
@@ -104,13 +114,10 @@ def _cmd_train_teacher(args) -> int:
 
 def _cmd_distill(args) -> int:
     cfg, spec, train_ds, val_ds, aug, out_dir = _prepare(args, "student")
-    if cfg.distill is None:
-        raise ConfigError("missing [distill] section")
-    d = cfg.distill
-    result = distill(args.teacher_ckpt, spec, train_ds, val_ds, d, cfg.optim,
-                     cfg.schedule, EdtParams(d.alpha, d.lam, d.n_decay), cfg.run.epochs,
-                     cfg.run.seed, out_dir, batch_size=cfg.data.batch_size,
-                     aug_cfg=aug, resume_from=args.resume)
+    # the one [distill] record, n_decay resolved, is also the EDT schedule
+    result = distill(args.teacher_ckpt, spec, train_ds, val_ds, cfg.distill, cfg.optim,
+                     cfg.schedule, cfg.distill, cfg.run.epochs, cfg.run.seed, out_dir,
+                     batch_size=cfg.data.batch_size, aug_cfg=aug, resume_from=args.resume)
     print(f"student distilled: val top-1 error {result.val_top1:.2f}%, "
           f"top-5 {result.val_top5:.2f}%")
     print(f"artifacts in {out_dir}")

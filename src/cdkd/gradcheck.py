@@ -18,7 +18,7 @@ import numpy as np
 from . import oracle
 from .losses import DistillConfig, cd_loss, ce_loss, channel_weights, gkd_loss
 from .models import NetworkSpec, build_network, freeze, make_adapter
-from .optim import EdtParams, edt_weight
+from .optim import edt_weight
 from .tensor import (Tensor, add_bias, backward, conv2d, global_avg_pool,
                      softened_softmax)
 from .train import batch_objective, teacher_targets
@@ -195,15 +195,15 @@ def composite_grad_reports(seed: int = 0) -> List[OracleReport]:
     on a 2-sample toy batch, differentiated through student parameters and
     the channel adapter."""
     rng = np.random.default_rng(seed)
-    t_spec = NetworkSpec.from_channels([4, 8], num_classes=3, input_channels=2)
-    s_spec = NetworkSpec.from_channels([3, 4], num_classes=3, input_channels=2)
+    t_spec = NetworkSpec((4, 8), num_classes=3, input_channels=2)
+    s_spec = NetworkSpec((3, 4), num_classes=3, input_channels=2)
     teacher = freeze(build_network(t_spec, seed=11))
     student = build_network(s_spec, seed=12)
     adapter = make_adapter(4, 8, np.random.default_rng(13))
     x = Tensor(rng.uniform(0, 1, size=(2, 2, 8, 8)).astype(np.float32))
     labels = np.array([0, 2])
-    w_edt = edt_weight(EdtParams(alpha=0.7, lam=0.5, n_decay=10), epoch=5)
-    cfg = DistillConfig(temperature=4.0, alpha=0.7, gkd_enabled=True)
+    cfg = DistillConfig(temperature=4.0, alpha=0.7, n_decay=10, gkd_enabled=True)
+    w_edt = edt_weight(cfg, epoch=5)
     t_logits, *t_gaps = teacher_targets(teacher, x)
 
     def objective(name: str, t: Tensor) -> Tensor:

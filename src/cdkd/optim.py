@@ -8,6 +8,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .losses import DistillConfig
 from .tensor import Tensor
 
 
@@ -50,30 +51,23 @@ def lr_at_epoch(schedule: LrSchedule, lr0: float, epoch: int) -> float:
     return lr0 * schedule.factor ** drops
 
 
-@dataclass
-class EdtParams:
-    """Early Decay Teacher: weight(epoch) = alpha * lambda^(epoch / n_decay),
-    a real exponent, so the weight decays smoothly epoch by epoch."""
-    alpha: float
-    lam: float
-    n_decay: int
-
-    def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if not (0.0 < self.lam <= 1.0):
-            raise ValueError(f"lambda must be in (0, 1], got {self.lam}")
-        if not self.n_decay >= 1:
-            raise ValueError(f"n_decay must be positive, got {self.n_decay}")
+def EdtParams(alpha: float, lam: float, n_decay: int) -> DistillConfig:
+    """The DistillConfig that carries these three EDT fields; only alpha, lam
+    and n_decay are read from it. An unset n_decay is refused. The name is
+    kept because ``bench/worker.py`` calls it."""
+    if n_decay is None:
+        raise ValueError("n_decay must be set, got None")
+    return DistillConfig(alpha=alpha, lam=lam, n_decay=n_decay)
 
 
-def edt_weight(params, epoch: int) -> float:
-    """The decay weight of ``params``, an EdtParams or a DistillConfig whose n_decay is set."""
+def edt_weight(cfg: DistillConfig, epoch: int) -> float:
+    """Early Decay Teacher: alpha * lam^(epoch / n_decay), a real exponent,
+    so the CD weight decays smoothly epoch by epoch."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
-    if params.n_decay is None:
+    if cfg.n_decay is None:
         raise ValueError("n_decay must be set to give a decay weight, got None")
-    return params.alpha * params.lam ** (epoch / params.n_decay)
+    return cfg.alpha * cfg.lam ** (epoch / cfg.n_decay)
 
 
 class SgdOptimizer:

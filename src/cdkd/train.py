@@ -16,7 +16,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -30,7 +30,7 @@ from .losses import (DistillConfig, LossBreakdown, cd_loss, ce_loss, channel_wei
                      gkd_loss, total_loss)
 from .models import (Network, NetworkSpec, adapt_channels, build_network, forward_with_taps,
                      freeze, make_adapter, param_shapes)
-from .optim import EdtParams, LrSchedule, SgdConfig, SgdOptimizer, edt_weight, lr_at_epoch
+from .optim import LrSchedule, SgdConfig, SgdOptimizer, edt_weight, lr_at_epoch
 from .seeds import derive, derive_epoch
 from .tensor import Tensor, backward, no_grad
 
@@ -454,7 +454,7 @@ def train_teacher(spec: NetworkSpec, train_ds: Dataset, val_ds: Dataset,
 
 def distill(teacher_ckpt, student_spec: NetworkSpec, train_ds: Dataset,
             val_ds: Dataset, distill_cfg: DistillConfig, sgd_cfg: SgdConfig,
-            sched: LrSchedule, edt: EdtParams, epochs: int, seed: int, out_dir,
+            sched: LrSchedule, edt: DistillConfig, epochs: int, seed: int, out_dir,
             batch_size: int = 128, aug_cfg: Optional[AugmentConfig] = None,
             resume_from=None) -> TrainResult:
     """Teacher-supervised student training with CD, GKD and EDT.
@@ -462,20 +462,19 @@ def distill(teacher_ckpt, student_spec: NetworkSpec, train_ds: Dataset,
     The teacher is loaded frozen; only student and adapter parameters enter
     the optimizer. Refused with ValueError before the first step: a teacher
     whose tap count, class count, input channels or normalization stats
-    differ from the run's, with CD on an ``edt`` whose alpha, lam or n_decay
-    contradict ``distill_cfg`` (an n_decay of None there accepts any), and a
-    resume checkpoint with a header record that differs from the run's. An
-    n_decay of None then takes ``edt.n_decay``, and [distill] records it. With
+    differ from the run's, with CD on a ``distill_cfg`` whose n_decay is unset
+    or whose alpha, lam or n_decay differ from ``edt``'s, and a resume
+    checkpoint with a header record that differs from the run's. With
     alpha=0 and GKD disabled this reduces, bit for bit, to plain
     cross-entropy training of the student.
     """
     if distill_cfg.alpha > 0.0:
+        if distill_cfg.n_decay is None:
+            raise ValueError("DistillConfig has n_decay = None, which CD needs set")
         for key in ("alpha", "lam", "n_decay"):
             want, got = getattr(distill_cfg, key), getattr(edt, key)
-            if want is not None and got != want:
+            if got != want:
                 raise ValueError(f"DistillConfig has {key} = {want}, EdtParams {got}")
-    if distill_cfg.n_decay is None:
-        distill_cfg = replace(distill_cfg, n_decay=edt.n_decay)
     return _fit(student_spec, train_ds, val_ds, sgd_cfg, sched, epochs, seed,
                 out_dir, distill_cfg, batch_size=batch_size, aug_cfg=aug_cfg,
                 teacher_ckpt=teacher_ckpt, resume_from=resume_from)

@@ -114,7 +114,7 @@ def run_ckpt(tmp_path_factory, tiny_data, tiny_specs):
     sgd, sched = SgdConfig(lr0=0.05), LrSchedule((10,), 0.1)
     tres = train_teacher(teacher_spec, train, val, sgd, sched, epochs=1, seed=1,
                          out_dir=root / "teacher", batch_size=32)
-    sres = distill(tres.final_ckpt, student_spec, train, val, DistillConfig(), sgd,
+    sres = distill(tres.final_ckpt, student_spec, train, val, DistillConfig(n_decay=10), sgd,
                    sched, EdtParams(1.0, 0.5, 10), epochs=1, seed=2,
                    out_dir=root / "student", batch_size=32)
     return root, sres.final_ckpt.read_bytes()[:-4]
@@ -160,7 +160,7 @@ def test_resume_refuses_a_broken_tensor_table(run_ckpt, tiny_data, tiny_specs):
         save_checkpoint(path, header, table)
         with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {why}')}$"):
             distill(root / "teacher" / "final.ckpt", tiny_specs[1], train, val,
-                    DistillConfig(), SgdConfig(lr0=0.05), LrSchedule((10,), 0.1),
+                    DistillConfig(n_decay=10), SgdConfig(lr0=0.05), LrSchedule((10,), 0.1),
                     EdtParams(1.0, 0.5, 10), epochs=2, seed=2, out_dir=root / "resumed",
                     batch_size=32, resume_from=path)
 
@@ -207,7 +207,7 @@ def test_header_keys_no_record_has_are_refused(run_ckpt, tiny_data, tiny_specs):
         save_checkpoint(path, head, tensors)
         with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {why}')}$"):
             distill(root / "teacher" / "final.ckpt", tiny_specs[1], train, val,
-                    DistillConfig(), SgdConfig(lr0=0.05), LrSchedule((10,), 0.1),
+                    DistillConfig(n_decay=10), SgdConfig(lr0=0.05), LrSchedule((10,), 0.1),
                     EdtParams(1.0, 0.5, 10), epochs=2, seed=2, out_dir=root / "resumed",
                     batch_size=32, resume_from=path)
 
@@ -233,7 +233,7 @@ def test_state_values_no_run_writes_are_refused(run_ckpt, tiny_data, tiny_specs)
         with pytest.raises(CheckpointError,
                            match=f"^{re.escape(f'{path}: [state] {why}')}$"):
             distill(root / "teacher" / "final.ckpt", tiny_specs[1], train, val,
-                    DistillConfig(), SgdConfig(lr0=0.05), LrSchedule((10,), 0.1),
+                    DistillConfig(n_decay=10), SgdConfig(lr0=0.05), LrSchedule((10,), 0.1),
                     EdtParams(1.0, 0.5, 10), epochs=2, seed=2, out_dir=out,
                     batch_size=32, resume_from=path)
         assert not out.exists()

@@ -358,7 +358,25 @@ def test_cli_errors_exit_nonzero(tmp_path, capsys):
         cut.write_text(text[:text.index(f"[{section}]")] + text[text.index(end):])
         assert main(argv + ["--config", str(cut)]) == 2
         assert capsys.readouterr().err.strip().splitlines() == [
-            f"error: missing [{section}] section"]
+            f"error: {cut}: missing [{section}] section"]
+        assert not (tmp_path / "out").exists()
+
+
+def test_cli_refuses_a_net_no_host_can_hold(tmp_path, capsys):
+    """A [model.*] whose float32 parameters alone exceed the host's memory is
+    one error line naming the file, the section and channels, refused before
+    a parameter is allocated or the out-dir made."""
+    text = TINY_CONFIG.format(out=tmp_path / "out")
+    for argv, section in ((["train-teacher"], "model.teacher"),
+                          (["distill", "--teacher-ckpt", "t.ckpt"], "model.student")):
+        wide = tmp_path / "wide.conf"
+        wide.write_text(overlaid(text, f"[{section}]\nchannels = 1000000000,2\n"))
+        assert main(argv + ["--config", str(wide)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        want = f"error: {wide}: [{section}] channels = 1000000000,2 needs "
+        assert len(err) == 1 and re.fullmatch(
+            re.escape(want) + r"\d+ bytes of float32 parameters, more than the host has", err[0])
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_eval_on_incomplete_checkpoint_is_one_error_line(cli_run, tmp_path, capsys):

@@ -149,6 +149,13 @@ def test_edt_param_validation():
         EdtParams(alpha=1.0, lam=1.5, n_decay=10)
     with pytest.raises(ValueError):
         EdtParams(alpha=1.0, lam=0.5, n_decay=0)
+    with pytest.raises(ValueError, match="^n_decay must be set, got None$"):
+        EdtParams(1.0, 0.5, None)
+
+
+def test_edt_params_is_the_distill_config_it_must_agree_with():
+    """EdtParams builds a DistillConfig, so the config's checks are its checks."""
+    assert EdtParams(0.8, 0.7, 6) == DistillConfig(alpha=0.8, lam=0.7, n_decay=6)
 
 
 def test_edt_of_a_config_with_no_n_decay_names_it():

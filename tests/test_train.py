@@ -444,8 +444,9 @@ def test_runs_that_would_train_no_epoch_are_refused(tiny_data, tiny_specs, tmp_p
 def test_distill_refuses_edt_params_that_contradict_its_config(tiny_data, tiny_specs,
                                                                tmp_path, monkeypatch):
     """With CD on, an EdtParams whose alpha, lam or n_decay differs from the
-    DistillConfig's is refused before any teacher forward; a config n_decay of
-    None accepts any, and with CD off the EdtParams are not compared."""
+    DistillConfig's, or a DistillConfig with no n_decay, even passed as both,
+    is refused before any teacher forward or out-dir; with CD off the
+    EdtParams are not compared."""
     train, val = tiny_data
     teacher_spec, student = tiny_specs
     tres = train_teacher(teacher_spec, train, val, SGD, SCHED, epochs=1, seed=0,
@@ -463,8 +464,13 @@ def test_distill_refuses_edt_params_that_contradict_its_config(tiny_data, tiny_s
         with pytest.raises(ValueError, match=f"^{re.escape(f'DistillConfig has {why}')}$"):
             run(tag, cfg, edt)
         assert not (tmp_path / tag).exists()
+    unset = DistillConfig(alpha=1.0, lam=0.5)
+    for tag, edt in (("any-n-decay", EdtParams(1.0, 0.5, 7)), ("as-both", unset)):
+        with pytest.raises(ValueError, match="^DistillConfig has n_decay = None, which CD "
+                                             "needs set$"):
+            run(tag, unset, edt)
+        assert not (tmp_path / tag).exists()
     assert calls == []
-    run("any-n-decay", DistillConfig(alpha=1.0, lam=0.5), EdtParams(1.0, 0.5, 7))
     run("cd-off", DistillConfig(alpha=0.0, lam=0.5, n_decay=2), EdtParams(0.25, 0.9, 7))
 
 
